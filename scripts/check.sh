@@ -76,6 +76,7 @@ if [[ ! -r "$repo/BENCH_perf_quick.json" ]]; then
   exit 1
 fi
 for gated_key in micro.alloc_release.ops_per_s micro.deadline_sweep.steps_per_s \
+                 micro.cache_churn.ops_per_s micro.admission_readmit.ops_per_s \
                  elastic.resize_cycle.ops_per_s \
                  frontend.admit_4p.req_per_s fleet.route_4r.ops_per_s \
                  e2e.jamba-52b-fp8.mmlu.steps_per_s \

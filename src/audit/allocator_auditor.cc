@@ -472,6 +472,7 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
   int64_t used = 0;
   int64_t evictable = 0;
   int64_t empty = 0;
+  int64_t indexed_pages = 0;
   std::unordered_map<SmallPageId, Evictor::Key> ground_truth;
 
   for (size_t index = 0; index < grp.larges_.size(); ++index) {
@@ -505,6 +506,7 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
     for (int slot = 0; slot < grp.pages_per_large_; ++slot) {
       const SmallPageAllocator::SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
       const SmallPageId page = base + slot;
+      indexed_pages += meta.indexed ? 1 : 0;
       switch (meta.state) {
         case PageState::kUsed:
           entry_used += 1;
@@ -525,8 +527,8 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
           if (!meta.has_hash) {
             Fail(out, tag + "evictable page " + std::to_string(page) + " has no content hash");
           } else {
-            const auto hit = grp.cache_index_.find(meta.hash);
-            if (hit == grp.cache_index_.end() || hit->second != page) {
+            const SmallPageId* indexed = grp.cache_index_.Find(meta.hash);
+            if (!meta.indexed || indexed == nullptr || *indexed != page) {
               Fail(out, tag + "evictable page " + std::to_string(page) +
                             " not reachable through the cache index");
             }
@@ -662,11 +664,16 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
     const SmallPageAllocator::SlotMeta& meta =
         grp.larges_[static_cast<size_t>(large)]
             .slots[static_cast<size_t>(page % grp.pages_per_large_)];
-    if (meta.state == PageState::kEmpty || !meta.has_hash || meta.hash != hash) {
+    if (meta.state == PageState::kEmpty || !meta.indexed || meta.hash != hash) {
       Fail(out, tag + "cache index entry for hash " + std::to_string(hash) +
                     " points at page " + std::to_string(page) +
                     " which does not carry it");
     }
+  }
+  if (indexed_pages != static_cast<int64_t>(grp.cache_index_.size())) {
+    Fail(out, tag + std::to_string(indexed_pages) +
+                  " pages flagged indexed but the cache index has " +
+                  std::to_string(grp.cache_index_.size()) + " entries");
   }
 
   // Affinity free lists: every live empty slot has exactly one valid ref in the any-list

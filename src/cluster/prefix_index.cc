@@ -25,7 +25,7 @@ void ClusterPrefixIndex::Feed::OnHashResident(int group_index, BlockHash hash) {
   }
   ReplicaSummary& summary = *index_->replicas_[static_cast<size_t>(replica_)];
   std::lock_guard<std::mutex> lock(summary.mu);
-  summary.hashes.insert(hash);
+  summary.hashes.TryInsert(hash, {});
 }
 
 void ClusterPrefixIndex::Feed::OnHashNonResident(int group_index, BlockHash hash) {
@@ -34,7 +34,7 @@ void ClusterPrefixIndex::Feed::OnHashNonResident(int group_index, BlockHash hash
   }
   ReplicaSummary& summary = *index_->replicas_[static_cast<size_t>(replica_)];
   std::lock_guard<std::mutex> lock(summary.mu);
-  summary.hashes.erase(hash);
+  summary.hashes.Erase(hash);
 }
 
 int64_t ClusterPrefixIndex::ResidentPrefixBlocks(int replica,
@@ -43,7 +43,7 @@ int64_t ClusterPrefixIndex::ResidentPrefixBlocks(int replica,
   std::lock_guard<std::mutex> lock(summary.mu);
   int64_t blocks = 0;
   for (const BlockHash hash : chain) {
-    if (summary.hashes.find(hash) == summary.hashes.end()) {
+    if (!summary.hashes.Contains(hash)) {
       break;
     }
     ++blocks;
@@ -54,7 +54,7 @@ int64_t ClusterPrefixIndex::ResidentPrefixBlocks(int replica,
 void ClusterPrefixIndex::PurgeReplica(int replica) {
   ReplicaSummary& summary = *replicas_[static_cast<size_t>(replica)];
   std::lock_guard<std::mutex> lock(summary.mu);
-  summary.hashes.clear();
+  summary.hashes.Clear();
 }
 
 int64_t ClusterPrefixIndex::ResidentHashes(int replica) const {

@@ -23,9 +23,9 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
+#include "src/core/block_hash_table.h"
 #include "src/core/types.h"
 
 namespace jenga {
@@ -62,7 +62,7 @@ class ClusterPrefixIndex {
  private:
   struct ReplicaSummary {
     mutable std::mutex mu;
-    std::unordered_set<BlockHash> hashes;
+    BlockHashTable<NoValue> hashes;
   };
 
   class Feed final : public CacheResidencySink {

@@ -35,6 +35,14 @@ namespace jenga {
 [[nodiscard]] std::vector<BlockHash> ChainBlockHashes(std::span<const int32_t> tokens,
                                                       int block_size, uint64_t salt);
 
+// ChainBlockHashes under every salt of `salts` in one interleaved pass over `tokens`:
+// result[i] equals ChainBlockHashes(tokens, block_size, salts[i]) exactly. Each chain is a
+// serial multiply chain, so hashing k independent chains token by token overlaps them in the
+// pipeline and costs far less than k separate passes (e.g. the full and sliding-window groups
+// of one prompt, which differ only by salt).
+[[nodiscard]] std::vector<std::vector<BlockHash>> ChainBlockHashesFused(
+    std::span<const int32_t> tokens, int block_size, std::span<const uint64_t> salts);
+
 // Longest prefix boundary valid in *every* group (§5.2): each element of `valids` is one
 // group's bitmap over the same boundary indices (all must share a size); returns the largest
 // index at which all bitmaps are true. Index 0 (the empty prefix) is always valid.

@@ -33,14 +33,14 @@ uint64_t Mix64(uint64_t x) {
 
 }  // namespace
 
-bool BlockHitResolver::IsHit(int64_t block) {
+SmallPageId BlockHitResolver::Resolve(int64_t block) {
   JENGA_CHECK_GE(block, 0);
   JENGA_CHECK_LT(block, num_blocks());
-  int8_t& s = state_[static_cast<size_t>(block)];
-  if (s == kUnknown) {
-    s = probe_(block) ? 1 : 0;
+  SmallPageId& page = pages_[static_cast<size_t>(block)];
+  if (page == kUnresolved) {
+    page = probe_(block);
   }
-  return s == 1;
+  return page;
 }
 
 bool BlockHitResolver::AnyMiss(int64_t lo, int64_t hi) {

@@ -21,28 +21,40 @@
 
 namespace jenga {
 
-// Lazily-resolved per-block cache-hit flags backing the incremental §5.2 hit scan. Each block
-// is probed at most once (a probe is an allocator/host-tier hash lookup); results are memoized
-// so repeated boundary candidates cost array reads only. The contiguous all-hit prefix is
-// tracked separately so full-prefix range checks are O(1) amortized instead of O(p) per
-// candidate prefix.
+// Lazily-resolved per-block cache hits backing the incremental §5.2 hit scan. Each block is
+// probed at most once (a probe is an allocator/host-tier hash lookup) and the result is
+// memoized: the resident page that holds the block, so the caller can take references on the
+// hit prefix without probing again. Repeated boundary candidates cost array reads only. The
+// contiguous all-hit prefix is tracked separately so full-prefix range checks are O(1)
+// amortized instead of O(p) per candidate prefix.
 class BlockHitResolver {
  public:
-  BlockHitResolver(int64_t num_blocks, std::function<bool(int64_t)> probe)
-      : probe_(std::move(probe)), state_(static_cast<size_t>(num_blocks), kUnknown) {}
+  // Probe results besides a page id: kNoSmallPage is a miss; kHitWithoutPage is a hit with no
+  // page in the group (host-tier residency). Resolved() reports kUnresolved for blocks never
+  // probed.
+  static constexpr SmallPageId kHitWithoutPage = -2;
+  static constexpr SmallPageId kUnresolved = -3;
 
-  [[nodiscard]] int64_t num_blocks() const { return static_cast<int64_t>(state_.size()); }
+  BlockHitResolver(int64_t num_blocks, std::function<SmallPageId(int64_t)> probe)
+      : probe_(std::move(probe)), pages_(static_cast<size_t>(num_blocks), kUnresolved) {}
+
+  [[nodiscard]] int64_t num_blocks() const { return static_cast<int64_t>(pages_.size()); }
 
   // Memoized single-block probe.
-  [[nodiscard]] bool IsHit(int64_t block);
+  [[nodiscard]] SmallPageId Resolve(int64_t block);
+  [[nodiscard]] bool IsHit(int64_t block) { return Resolve(block) != kNoSmallPage; }
+
+  // What the scan resolved `block` to, without probing: kUnresolved when never probed.
+  [[nodiscard]] SmallPageId Resolved(int64_t block) const {
+    return pages_[static_cast<size_t>(block)];
+  }
 
   // True when any block in [lo, hi) — clamped to [0, num_blocks()) — is a miss.
   [[nodiscard]] bool AnyMiss(int64_t lo, int64_t hi);
 
  private:
-  static constexpr int8_t kUnknown = -1;
-  std::function<bool(int64_t)> probe_;
-  std::vector<int8_t> state_;  // -1 unknown, 0 miss, 1 hit.
+  std::function<SmallPageId(int64_t)> probe_;
+  std::vector<SmallPageId> pages_;
   // Blocks [0, contig_hits_) are known hits; when first_miss_known_, block contig_hits_ is the
   // stream's first miss.
   int64_t contig_hits_ = 0;

@@ -217,7 +217,7 @@ std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick 
     LargeEntry& entry = Entry(large);
     SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(*victim))];
     JENGA_CHECK(meta.state == PageState::kEvictable);
-    NotifyEviction(*victim, meta);
+    NotifyEviction(meta);
     UnregisterHash(*victim, meta);
     JENGA_AUDIT_HOOK(audit_, OnPageEvicted(group_index_, *victim));
     meta.state = PageState::kUsed;
@@ -288,14 +288,10 @@ void SmallPageAllocator::AddRef(SmallPageId page) {
   }
 }
 
-void SmallPageAllocator::NotifyEviction(SmallPageId page, const SlotMeta& meta) const {
+void SmallPageAllocator::NotifyEviction(const SlotMeta& meta) const {
   // Only indexed content is recoverable later; a page whose hash was superseded by another
   // resident copy offers nothing a future hit could use.
-  if (eviction_sink_ == nullptr || !meta.has_hash) {
-    return;
-  }
-  const auto it = cache_index_.find(meta.hash);
-  if (it == cache_index_.end() || it->second != page) {
+  if (eviction_sink_ == nullptr || !meta.indexed) {
     return;
   }
   eviction_sink_->OnCacheEvicted(group_index_, meta.hash, spec_.page_bytes, meta.prefix_length,
@@ -303,17 +299,16 @@ void SmallPageAllocator::NotifyEviction(SmallPageId page, const SlotMeta& meta) 
 }
 
 void SmallPageAllocator::UnregisterHash(SmallPageId page, SlotMeta& meta) {
-  if (meta.has_hash) {
-    const auto it = cache_index_.find(meta.hash);
-    if (it != cache_index_.end() && it->second == page) {
-      cache_index_.erase(it);
-      if (residency_sink_ != nullptr) {
-        residency_sink_->OnHashNonResident(group_index_, meta.hash);
-      }
+  if (meta.indexed) {
+    const bool erased = cache_index_.EraseIfMappedTo(meta.hash, page);
+    JENGA_CHECK(erased) << "indexed page " << page << " missing from the cache index";
+    meta.indexed = false;
+    if (residency_sink_ != nullptr) {
+      residency_sink_->OnHashNonResident(group_index_, meta.hash);
     }
-    meta.has_hash = false;
-    meta.hash = 0;
   }
+  meta.has_hash = false;
+  meta.hash = 0;
 }
 
 void SmallPageAllocator::ReleaseLarge(LargePageId large, LargeEntry& entry) {
@@ -380,13 +375,12 @@ void SmallPageAllocator::Release(SmallPageId page, bool keep_cached) {
   }
 
   bool cacheable = keep_cached && meta.has_hash;
-  if (cacheable) {
+  if (cacheable && !meta.indexed) {
     // Index the content if no other resident page holds it; duplicates are not worth keeping.
-    const auto [it, inserted] = cache_index_.emplace(meta.hash, page);
-    if (!inserted && it->second != page) {
-      cacheable = false;
-    }
-    if (inserted && residency_sink_ != nullptr) {
+    // An indexed page (a prefix hit, or the first copy of its content) needs no probe.
+    meta.indexed = cache_index_.TryInsert(meta.hash, page).second;
+    cacheable = meta.indexed;
+    if (meta.indexed && residency_sink_ != nullptr) {
       residency_sink_->OnHashResident(group_index_, meta.hash);
     }
   }
@@ -418,19 +412,10 @@ void SmallPageAllocator::SetContentHash(SmallPageId page, BlockHash hash) {
   meta.hash = hash;
   // Keeps an existing mapping if one is resident (in which case the index is unchanged and
   // the residency sink stays silent).
-  const auto [it, inserted] = cache_index_.emplace(hash, page);
-  (void)it;
-  if (inserted && residency_sink_ != nullptr) {
+  meta.indexed = cache_index_.TryInsert(hash, page).second;
+  if (meta.indexed && residency_sink_ != nullptr) {
     residency_sink_->OnHashResident(group_index_, hash);
   }
-}
-
-std::optional<SmallPageId> SmallPageAllocator::LookupCached(BlockHash hash) const {
-  const auto it = cache_index_.find(hash);
-  if (it == cache_index_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
 }
 
 void SmallPageAllocator::UpdateLastAccess(SmallPageId page, Tick now) {
@@ -505,7 +490,7 @@ void SmallPageAllocator::ReclaimLargePage(LargePageId large) {
     const SmallPageId page = base + slot;
     if (meta.state == PageState::kEvictable) {
       evictor_.Remove(page);
-      NotifyEviction(page, meta);
+      NotifyEviction(meta);
       UnregisterHash(page, meta);
       JENGA_AUDIT_HOOK(audit_, OnPageEvicted(group_index_, page));
       evictable_count_ -= 1;
@@ -549,6 +534,7 @@ void SmallPageAllocator::CheckConsistency() const {
   int64_t used = 0;
   int64_t evictable = 0;
   int64_t empty = 0;
+  int64_t indexed = 0;
   for (size_t index = 0; index < larges_.size(); ++index) {
     const LargeEntry& entry = larges_[index];
     if (!entry.resident) {
@@ -564,6 +550,8 @@ void SmallPageAllocator::CheckConsistency() const {
     for (int slot = 0; slot < pages_per_large_; ++slot) {
       const SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
       const SmallPageId page = base + slot;
+      JENGA_CHECK(!meta.indexed || meta.has_hash);
+      indexed += meta.indexed ? 1 : 0;
       switch (meta.state) {
         case PageState::kUsed:
           JENGA_CHECK_GT(meta.ref_count, 0);
@@ -573,7 +561,7 @@ void SmallPageAllocator::CheckConsistency() const {
         case PageState::kEvictable:
           JENGA_CHECK_EQ(meta.ref_count, 0);
           JENGA_CHECK(evictor_.Contains(page));
-          JENGA_CHECK(meta.has_hash);
+          JENGA_CHECK(meta.indexed);
           ++entry_evictable;
           break;
         case PageState::kEmpty:
@@ -604,9 +592,12 @@ void SmallPageAllocator::CheckConsistency() const {
     JENGA_CHECK(IsResident(LargeOf(page))) << "cache index points at non-resident page";
     const SlotMeta& meta = Meta(page);
     JENGA_CHECK(meta.state != PageState::kEmpty);
-    JENGA_CHECK(meta.has_hash);
+    JENGA_CHECK(meta.indexed);
     JENGA_CHECK_EQ(meta.hash, hash);
   }
+  // Every entry's page carries the indexed flag and a page holds one hash, so equal counts
+  // make the flag exactly "the index maps this page's hash to it".
+  JENGA_CHECK_EQ(indexed, static_cast<int64_t>(cache_index_.size()));
   if (claims_ != nullptr) {
     // Sharded mode: the claim bitmap is the authoritative empty-page index. At quiescence a
     // bit is set iff its resident slot is empty, and the per-shard population counters sum

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/core/audit_events.h"
+#include "src/core/block_hash_table.h"
 #include "src/core/evictor.h"
 #include "src/core/layer_policy.h"
 #include "src/core/lcm_allocator.h"
@@ -86,7 +87,13 @@ class SmallPageAllocator final : public GroupCacheOps {
   void SetContentHash(SmallPageId page, BlockHash hash);
 
   // Resident page (used or evictable) holding `hash`, if any.
-  [[nodiscard]] std::optional<SmallPageId> LookupCached(BlockHash hash) const;
+  [[nodiscard]] std::optional<SmallPageId> LookupCached(BlockHash hash) const {
+    const SmallPageId* page = cache_index_.Find(hash);
+    return page != nullptr ? std::optional<SmallPageId>(*page) : std::nullopt;
+  }
+
+  // Cache hint for an upcoming LookupCached(hash).
+  void PrefetchCached(BlockHash hash) const { cache_index_.Prefetch(hash); }
 
   // GroupCacheOps (called by layer policies):
   void UpdateLastAccess(SmallPageId page, Tick now) override;
@@ -177,6 +184,9 @@ class SmallPageAllocator final : public GroupCacheOps {
     int64_t prefix_length = 0;
     uint64_t epoch = 0;
     bool has_hash = false;
+    // cache_index_ maps `hash` to this page. Lets Release, eviction and unregistration skip
+    // the index probe for the page that holds the indexed copy of its content.
+    bool indexed = false;
     BlockHash hash = 0;
   };
 
@@ -250,7 +260,7 @@ class SmallPageAllocator final : public GroupCacheOps {
   void ReleaseLarge(LargePageId large, LargeEntry& entry);
 
   // Announces an evictable page's cached content to the sink just before it is destroyed.
-  void NotifyEviction(SmallPageId page, const SlotMeta& meta) const;
+  void NotifyEviction(const SlotMeta& meta) const;
 
   int group_index_;
   KvGroupSpec spec_;
@@ -271,7 +281,7 @@ class SmallPageAllocator final : public GroupCacheOps {
   // Sharded mode only (shards > 1); nullptr means the legacy empty_any_ list is in charge.
   std::unique_ptr<ShardedClaimIndex> claims_;
   Evictor evictor_;
-  std::unordered_map<BlockHash, SmallPageId> cache_index_;
+  BlockHashTable<SmallPageId> cache_index_;
 
   uint64_t next_epoch_ = 1;
   int64_t resident_larges_ = 0;

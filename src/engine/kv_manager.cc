@@ -68,6 +68,9 @@ int64_t GroupTokensFor(const Request& r, const KvGroupSpec& group, int64_t prefi
   JENGA_CHECK(false) << "unhandled scope";
 }
 
+// How many blocks ahead the hit scan prefetches cache-index slots.
+constexpr size_t kProbeLookahead = 8;
+
 bool IsSubsequenceScope(GroupScope scope) {
   return scope == GroupScope::kImageTokens || scope == GroupScope::kTextTokens;
 }
@@ -78,8 +81,10 @@ uint64_t MixFingerprint(uint64_t h, uint64_t v) {
   return h * 0xFF51AFD7ED558CCDull;
 }
 
-// Differential audit of the fused hit scan against the materialized-bitmap reference. Off by
-// default (the reference pass re-does every allocator lookup); the fuzz/chaos stages enable it.
+// Differential audit of the admission fast paths against their references: the fused hit scan
+// against the materialized bitmaps, the scan's memoized pages against fresh index lookups, and
+// memoized prompt chains against re-hashing. Off by default (the references redo the work);
+// the fuzz/chaos stages enable it.
 bool AdmissionScanAuditEnabled() {
   static const bool enabled = std::getenv("JENGA_CHECK_ADMISSION") != nullptr;
   return enabled;
@@ -184,7 +189,8 @@ void KvManager::OnAdmit(Request& r, Tick now) {
     PromoteHostHits(r, group_hashes, now);
   }
 
-  int64_t boundary = ResolveHitBoundary(r, group_hashes, /*include_host=*/false);
+  std::vector<BlockHitResolver> resolvers;
+  int64_t boundary = ResolveHitBoundary(r, group_hashes, /*include_host=*/false, resolvers);
   // Keep at least one prompt token to compute (an engine cannot "hit" the whole prompt).
   while (boundary > 0 && boundary * bs >= prompt_len) {
     --boundary;
@@ -193,6 +199,24 @@ void KvManager::OnAdmit(Request& r, Tick now) {
     return;
   }
   const int64_t hit_tokens = boundary * bs;
+
+  // The page the scan resolved block j of group g to, or a fresh lookup for a block it never
+  // probed (the cap above can shift a window onto such blocks). Nothing touches the cache
+  // index between the scan and here, so a memoized page is still the indexed one; the
+  // admission audit re-checks that on every block.
+  const auto cached_page = [&](size_t g, int64_t j) {
+    const SmallPageId memo_page = resolvers[g].Resolved(j);
+    if (memo_page != BlockHitResolver::kUnresolved && !AdmissionScanAuditEnabled()) {
+      return memo_page;
+    }
+    const SmallPageId page = allocator_.group(static_cast<int>(g))
+                                 .LookupCached(group_hashes[g][static_cast<size_t>(j)])
+                                 .value_or(kNoSmallPage);
+    JENGA_CHECK(memo_page == BlockHitResolver::kUnresolved || memo_page == page)
+        << "hit scan resolved group " << g << " block " << j << " to page " << memo_page
+        << ", the cache index to " << page;
+    return page;
+  };
 
   // Take references on the covering pages of every group.
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
@@ -204,9 +228,9 @@ void KvManager::OnAdmit(Request& r, Tick now) {
       const int64_t k = hit_tokens / kMambaCheckpointInterval;
       JENGA_CHECK_EQ(hit_tokens % kMambaCheckpointInterval, 0);
       if (k > 0) {
-        const auto page = alloc.LookupCached(group_hashes[g][static_cast<size_t>(k) - 1]);
-        JENGA_CHECK(page.has_value()) << "mamba hit vanished";
-        alloc.UpdateLastAccess(*page, now);  // Restore-from-checkpoint touches the state.
+        const SmallPageId page = cached_page(g, k - 1);
+        JENGA_CHECK(page != kNoSmallPage) << "mamba hit vanished";
+        alloc.UpdateLastAccess(page, now);  // Restore-from-checkpoint touches the state.
         gs.chain = group_hashes[g][static_cast<size_t>(k) - 1];
         gs.chain_tokens = k * kMambaCheckpointInterval;
         gs.checkpoints_done = k;
@@ -230,13 +254,11 @@ void KvManager::OnAdmit(Request& r, Tick now) {
           break;
         }
       }
-      const auto page = block_needed
-                            ? alloc.LookupCached(group_hashes[g][static_cast<size_t>(j)])
-                            : std::nullopt;
-      if (page.has_value()) {
-        alloc.AddRef(*page);
-        alloc.UpdateLastAccess(*page, now);
-        gs.pages.push_back(*page);
+      const SmallPageId page = block_needed ? cached_page(g, j) : kNoSmallPage;
+      if (page != kNoSmallPage) {
+        alloc.AddRef(page);
+        alloc.UpdateLastAccess(page, now);
+        gs.pages.push_back(page);
       } else {
         // A hole the policy tolerates (out-of-window block, or an unneeded one we skip).
         gs.pages.push_back(kNoSmallPage);
@@ -281,34 +303,54 @@ KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) const {
       memo.prompt_text_tokens.push_back(r.all_tokens[static_cast<size_t>(i)]);
     }
   }
-  memo.group_hashes.resize(spec_.groups.size());
-  for (size_t g = 0; g < spec_.groups.size(); ++g) {
+  // Each group hashes one stream — the prompt, or a modality subsequence of it — at one block
+  // size (checkpoint interval for Mamba). Groups sharing both differ only by salt, so each
+  // such class is hashed in one fused pass (Ministral's full and sliding groups, the vision
+  // embedding and cross-attention image streams).
+  const size_t num_groups = spec_.groups.size();
+  std::array<const std::vector<int32_t>*, kMaxGroups> streams{};
+  std::array<int, kMaxGroups> block_sizes{};
+  for (size_t g = 0; g < num_groups; ++g) {
     const KvGroupSpec& group = spec_.groups[g];
-    if (group.kind == GroupKind::kMamba) {
-      memo.group_hashes[g] = ChainBlockHashes(r.prompt.tokens, kMambaCheckpointInterval,
-                                              GroupSalt(static_cast<int>(g)));
+    streams[g] = group.scope == GroupScope::kImageTokens  ? &memo.prompt_image_tokens
+                 : group.scope == GroupScope::kTextTokens ? &memo.prompt_text_tokens
+                                                          : &r.prompt.tokens;
+    block_sizes[g] = group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : bs;
+  }
+  memo.group_hashes.resize(num_groups);
+  std::array<bool, kMaxGroups> hashed{};
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (hashed[g]) {
       continue;
     }
-    if (IsSubsequenceScope(group.scope)) {
-      const std::vector<int32_t>& sub = group.scope == GroupScope::kImageTokens
-                                            ? memo.prompt_image_tokens
-                                            : memo.prompt_text_tokens;
-      memo.group_hashes[g] = ChainBlockHashes(sub, bs, GroupSalt(static_cast<int>(g)));
-      continue;
+    std::array<size_t, kMaxGroups> members;
+    std::array<uint64_t, kMaxGroups> salts;
+    size_t n = 0;
+    for (size_t h = g; h < num_groups; ++h) {
+      if (streams[h] == streams[g] && block_sizes[h] == block_sizes[g]) {
+        hashed[h] = true;
+        members[n] = h;
+        salts[n++] = GroupSalt(static_cast<int>(h));
+      }
     }
-    memo.group_hashes[g] = ChainBlockHashes(r.prompt.tokens, bs, GroupSalt(static_cast<int>(g)));
+    std::vector<std::vector<BlockHash>> chains =
+        ChainBlockHashesFused(*streams[g], block_sizes[g], std::span(salts.data(), n));
+    for (size_t i = 0; i < n; ++i) {
+      memo.group_hashes[members[i]] = std::move(chains[i]);
+    }
   }
   return memo;
 }
 
 int64_t KvManager::ResolveHitBoundary(const Request& r,
                                       const std::vector<std::vector<BlockHash>>& group_hashes,
-                                      bool include_host) const {
+                                      bool include_host,
+                                      std::vector<BlockHitResolver>& resolvers) const {
   const int bs = options_.tokens_per_page;
   const int64_t num_boundaries = r.prompt_len() / bs;
   // One lazy hit resolver per group; a block's cache lookup happens at most once no matter how
   // many boundary candidates probe it.
-  std::vector<BlockHitResolver> resolvers;
+  resolvers.clear();
   resolvers.reserve(spec_.groups.size());
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const SmallPageAllocator* alloc = &allocator_.group(static_cast<int>(g));
@@ -316,10 +358,21 @@ int64_t KvManager::ResolveHitBoundary(const Request& r,
     const int gi = static_cast<int>(g);
     resolvers.emplace_back(static_cast<int64_t>(hashes->size()),
                            [this, alloc, hashes, gi, include_host](int64_t j) {
+                             // Scans mostly walk blocks upward; start the miss a few
+                             // blocks ahead.
+                             if (static_cast<size_t>(j) + kProbeLookahead < hashes->size()) {
+                               alloc->PrefetchCached(
+                                   (*hashes)[static_cast<size_t>(j) + kProbeLookahead]);
+                             }
                              const BlockHash h = (*hashes)[static_cast<size_t>(j)];
-                             return alloc->LookupCached(h).has_value() ||
-                                    (include_host && offload_ != nullptr &&
-                                     offload_->LookupHostPage(manager_index_, gi, h) != nullptr);
+                             if (const auto page = alloc->LookupCached(h)) {
+                               return *page;
+                             }
+                             return include_host && offload_ != nullptr &&
+                                            offload_->LookupHostPage(manager_index_, gi, h) !=
+                                                nullptr
+                                        ? BlockHitResolver::kHitWithoutPage
+                                        : kNoSmallPage;
                            });
   }
 
@@ -436,13 +489,27 @@ bool KvManager::AllocateForTokens(Request& r, int64_t n, Tick now) {
   return true;
 }
 
-void KvManager::RegisterHashes(Request& r, RequestKv& state, Tick now) {
+BlockHash KvManager::NextChainHash(const AdmissionMemo* memo, size_t g, int64_t block,
+                                   BlockHash previous, std::span<const int32_t> block_tokens) {
+  if (memo != nullptr && static_cast<size_t>(block) < memo->group_hashes[g].size()) {
+    const BlockHash memoized = memo->group_hashes[g][static_cast<size_t>(block)];
+    if (AdmissionScanAuditEnabled()) {
+      JENGA_CHECK_EQ(memoized, ExtendBlockHash(previous, block_tokens))
+          << "admission memo chain diverged at group " << g << " block " << block;
+    }
+    return memoized;
+  }
+  return ExtendBlockHash(previous, block_tokens);
+}
+
+void KvManager::RegisterHashes(Request& r, RequestKv& state, const AdmissionMemo* memo,
+                               Tick now) {
   const int bs = options_.tokens_per_page;
   const int64_t c = r.num_computed_tokens;
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];
     if (group.kind == GroupKind::kMamba) {
-      SnapshotMambaCheckpoints(r, state, static_cast<int>(g), now);
+      SnapshotMambaCheckpoints(r, state, static_cast<int>(g), memo, now);
       continue;
     }
     SmallPageAllocator& alloc = allocator_.group(static_cast<int>(g));
@@ -455,9 +522,9 @@ void KvManager::RegisterHashes(Request& r, RequestKv& state, Tick now) {
     const int64_t stream_len = GroupTokensFor(r, group, c);
     const int64_t num_blocks = stream_len / bs;
     for (int64_t j = gs.hashed_blocks; j < num_blocks; ++j) {
-      gs.chain = ExtendBlockHash(
-          gs.chain, std::span<const int32_t>(stream).subspan(static_cast<size_t>(j) * bs,
-                                                             static_cast<size_t>(bs)));
+      gs.chain = NextChainHash(memo, g, j, gs.chain,
+                               std::span<const int32_t>(stream).subspan(
+                                   static_cast<size_t>(j) * bs, static_cast<size_t>(bs)));
       gs.chain_tokens += bs;
       if (j < static_cast<int64_t>(gs.pages.size()) &&
           gs.pages[static_cast<size_t>(j)] != kNoSmallPage) {
@@ -468,7 +535,8 @@ void KvManager::RegisterHashes(Request& r, RequestKv& state, Tick now) {
   }
 }
 
-void KvManager::SnapshotMambaCheckpoints(Request& r, RequestKv& state, int g, Tick now) {
+void KvManager::SnapshotMambaCheckpoints(Request& r, RequestKv& state, int g,
+                                         const AdmissionMemo* memo, Tick now) {
   // §5.3: cache the Mamba state every kMambaCheckpointInterval tokens. The snapshot page is
   // allocated, hashed, prioritized by its depth, and immediately released to evictable — the
   // running request keeps only its live state page. Snapshots are best-effort: under memory
@@ -477,11 +545,10 @@ void KvManager::SnapshotMambaCheckpoints(Request& r, RequestKv& state, int g, Ti
   SmallPageAllocator& alloc = allocator_.group(g);
   const int64_t target = r.num_computed_tokens / kMambaCheckpointInterval;
   for (int64_t k = gs.checkpoints_done + 1; k <= target; ++k) {
-    gs.chain = ExtendBlockHash(
-        gs.chain,
-        std::span<const int32_t>(r.all_tokens)
-            .subspan(static_cast<size_t>((k - 1) * kMambaCheckpointInterval),
-                     static_cast<size_t>(kMambaCheckpointInterval)));
+    gs.chain = NextChainHash(memo, static_cast<size_t>(g), k - 1, gs.chain,
+                             std::span<const int32_t>(r.all_tokens)
+                                 .subspan(static_cast<size_t>((k - 1) * kMambaCheckpointInterval),
+                                          static_cast<size_t>(kMambaCheckpointInterval)));
     gs.chain_tokens = k * kMambaCheckpointInterval;
     gs.checkpoints_done = k;
     if (alloc.LookupCached(gs.chain).has_value()) {
@@ -579,10 +646,9 @@ void KvManager::OnStepComputed(Request& r, Tick now) {
     // portion when the admission memo is available — the swap-restore replay covers thousands
     // of tokens in one call).
     const auto memo_it = admission_memos_.find(r.id);
-    ExtendModalityStreams(r, state,
-                          memo_it == admission_memos_.end() ? nullptr : &memo_it->second,
-                          state.computed_tokens, r.num_computed_tokens);
-    RegisterHashes(r, state, now);
+    const AdmissionMemo* memo = memo_it == admission_memos_.end() ? nullptr : &memo_it->second;
+    ExtendModalityStreams(r, state, memo, state.computed_tokens, r.num_computed_tokens);
+    RegisterHashes(r, state, memo, now);
   }
   if (options_.jenga) {
     for (size_t g = 0; g < spec_.groups.size(); ++g) {
@@ -915,7 +981,8 @@ void KvManager::PromoteHostHits(const Request& r,
   // fills exactly the gap between that target and current GPU residency — blocks a policy
   // never reads at the target length (out-of-window tails, pyramid middles) are not worth
   // PCIe time, and each one would evict a genuinely useful page.
-  int64_t boundary = ResolveHitBoundary(r, group_hashes, /*include_host=*/true);
+  std::vector<BlockHitResolver> resolvers;
+  int64_t boundary = ResolveHitBoundary(r, group_hashes, /*include_host=*/true, resolvers);
   while (boundary > 0 && boundary * bs >= prompt_len) {
     --boundary;
   }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -202,9 +203,10 @@ class KvManager {
   };
 
   // Immutable per-request admission inputs, computed once (prompts never change) and reused
-  // across re-admissions: the per-group prompt hash chains of OnAdmit's §5.2 scan plus the
-  // prompt's modality subsequence streams. `prompt_text_tokens` is maintained only when a
-  // text-scoped group exists, mirroring RequestKv::text_tokens. Entries are dropped when the
+  // across re-admissions: the per-group prompt hash chains of OnAdmit's §5.2 scan (which
+  // RegisterHashes reuses as the prompt blocks complete) plus the prompt's modality
+  // subsequence streams. `prompt_text_tokens` is maintained only when a text-scoped group
+  // exists, mirroring RequestKv::text_tokens. Entries are dropped when the
   // request id retires (Release(finished) / OnRequestRetired); preempted requests keep theirs.
   struct AdmissionMemo {
     std::vector<std::vector<BlockHash>> group_hashes;
@@ -217,11 +219,14 @@ class KvManager {
   // Fused, early-exiting replacement for BuildValidBitmaps + LongestCommonValidPrefix: scans
   // boundaries top-down and resolves block hits lazily, returning the identical boundary while
   // touching O(blocks) allocator lookups instead of materializing every per-group bitmap.
-  // With JENGA_CHECK_ADMISSION set in the environment, every call is cross-checked against the
+  // `resolvers` receives one BlockHitResolver per group holding every lookup the scan made,
+  // so the caller can take references without probing those blocks again. With
+  // JENGA_CHECK_ADMISSION set in the environment, every call is cross-checked against the
   // bitmap reference.
   [[nodiscard]] int64_t ResolveHitBoundary(const Request& r,
                                            const std::vector<std::vector<BlockHash>>& group_hashes,
-                                           bool include_host) const;
+                                           bool include_host,
+                                           std::vector<BlockHitResolver>& resolvers) const;
   // Appends all_tokens[from, to) to the modality subsequence streams. The prompt portion is
   // bulk-copied from the memo (sliced by the O(1) image-prefix counts) when one is available;
   // generated tokens fall back to the per-token kind scan.
@@ -246,8 +251,17 @@ class KvManager {
   [[nodiscard]] bool TryPromoteHostBlock(int g, BlockHash hash, int64_t prefix_length,
                                          RequestId rid, Tick now);
   [[nodiscard]] uint64_t StateFingerprint(const RequestKv& state) const;
-  void RegisterHashes(Request& r, RequestKv& state, Tick now);
-  void SnapshotMambaCheckpoints(Request& r, RequestKv& state, int g, Tick now);
+  // Chain value of `block` of group `g` given the previous one: the memoized prompt chain when
+  // `memo` covers the block, else ExtendBlockHash over `block_tokens`. With
+  // JENGA_CHECK_ADMISSION set, memoized values are re-derived and compared.
+  [[nodiscard]] static BlockHash NextChainHash(const AdmissionMemo* memo, size_t g, int64_t block,
+                                               BlockHash previous,
+                                               std::span<const int32_t> block_tokens);
+  // Chain hashing for computed blocks. Blocks inside the prompt take their chain values from
+  // `memo` (hashed once at admission) when one is given; later blocks extend the chain here.
+  void RegisterHashes(Request& r, RequestKv& state, const AdmissionMemo* memo, Tick now);
+  void SnapshotMambaCheckpoints(Request& r, RequestKv& state, int g, const AdmissionMemo* memo,
+                                Tick now);
   void DropUnneededPages(RequestKv& state, int g, Tick now);
   // Applies a deferred-refresh group's pending last_touch to the blocks the eager per-step
   // refresh would have marked (capped at computed tokens — the vision group allocates ahead).

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 namespace jenga {
@@ -58,6 +60,35 @@ TEST(ChainBlockHashes, NoCollisionsOnSmallUniverse) {
     }
   }
   EXPECT_EQ(static_cast<int>(seen.size()), count);
+}
+
+TEST(ChainBlockHashesFused, EqualsPerSaltChains) {
+  // Lane counts 1..9 cover paired lanes with and without a leftover lane; the token counts
+  // cover an empty stream, a stream shorter than a block, exact blocks and a partial trailing
+  // block.
+  std::vector<int32_t> stream;
+  for (int32_t i = 0; i < 203; ++i) {
+    stream.push_back(i * 7919 % 1000 - 300);  // Negative ids too.
+  }
+  for (const int block_size : {1, 3, 16, 64}) {
+    for (const size_t len : {size_t{0}, size_t{2}, size_t{64}, size_t{203}}) {
+      const std::span<const int32_t> tokens(stream.data(), len);
+      for (size_t lanes = 1; lanes <= 9; ++lanes) {
+        std::vector<uint64_t> salts;
+        for (size_t k = 0; k < lanes; ++k) {
+          salts.push_back(GroupChainSalt(static_cast<int>(k)) ^ (k * 31));
+        }
+        const auto fused = ChainBlockHashesFused(tokens, block_size, salts);
+        ASSERT_EQ(fused.size(), lanes);
+        for (size_t k = 0; k < lanes; ++k) {
+          EXPECT_EQ(fused[k], ChainBlockHashes(tokens, block_size, salts[k]))
+              << "block size " << block_size << ", " << len << " tokens, lane " << k << " of "
+              << lanes;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(ChainBlockHashesFused(stream, 16, {}).empty());
 }
 
 TEST(LongestCommonValidPrefix, IntersectsAcrossGroups) {

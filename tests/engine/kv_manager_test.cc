@@ -190,6 +190,53 @@ TEST(KvManager, SlidingWindowPrefixHitSurvivesPartialEviction) {
   kv->CheckConsistency();
 }
 
+TEST(KvManager, HitAdmissionReferencesExactlyTheIndexedPages) {
+  // The donor leaves every block cached: full-attention blocks on release, out-of-window
+  // sliding blocks as they drop. The successor's admission must pin, in every group, exactly
+  // the page the cache index maps each needed block to, and leave the cached out-of-window
+  // sliding blocks (the holes) evictable.
+  const ModelConfig model = TinySlidingModel(/*window=*/64);
+  auto kv = MakeJengaManager(model, 1 << 22, /*caching=*/true);
+  Request a = MakeRequest(1, TextPrompt(320), 4, 0.0);
+  kv->OnAdmit(a, 1);
+  ComputeTokens(*kv, a, 320, 1);
+  kv->Release(a, 2);
+  Request b = MakeRequest(2, TextPrompt(320), 4, 0.0);
+  kv->OnAdmit(b, 3);
+  ASSERT_EQ(b.cached_prefix_tokens, 304);
+  const int64_t hit_blocks = b.cached_prefix_tokens / kBs;
+
+  const KvSpec& spec = kv->alloc_spec();
+  int holes = 0;
+  for (int g = 0; g < static_cast<int>(spec.groups.size()); ++g) {
+    const SmallPageAllocator& alloc = kv->allocator().group(g);
+    const std::vector<BlockHash> hashes =
+        ChainBlockHashes(b.prompt.tokens, kBs, GroupChainSalt(g));
+    const bool sliding = spec.groups[static_cast<size_t>(g)].kind == GroupKind::kSlidingWindow;
+    int64_t pinned = 0;
+    for (int64_t j = 0; j < static_cast<int64_t>(hashes.size()); ++j) {
+      const auto page = alloc.LookupCached(hashes[static_cast<size_t>(j)]);
+      ASSERT_TRUE(page.has_value()) << "group " << g << " block " << j << " not cached";
+      // Needed: a full-attention block of the hit, or a sliding block inside the window
+      // that ends at the hit boundary.
+      const bool needed =
+          j < hit_blocks && (!sliding || (j + 1) * kBs > hit_blocks * kBs - /*window=*/64);
+      if (needed) {
+        EXPECT_EQ(alloc.state(*page), PageState::kUsed) << "group " << g << " block " << j;
+        EXPECT_EQ(alloc.ref_count(*page), 1) << "group " << g << " block " << j;
+        ++pinned;
+      } else {
+        EXPECT_EQ(alloc.state(*page), PageState::kEvictable) << "group " << g << " block " << j;
+        holes += j < hit_blocks ? 1 : 0;
+      }
+    }
+    // Nothing beyond the indexed pages is referenced.
+    EXPECT_EQ(alloc.GetStats().used_pages, pinned) << "group " << g;
+  }
+  EXPECT_GT(holes, 0) << "the scenario must exercise sliding-window holes";
+  kv->CheckConsistency();
+}
+
 TEST(KvManager, MambaStateAndCheckpoints) {
   const ModelConfig model = TinyMambaModel();
   auto kv = MakeJengaManager(model, 1 << 24, /*caching=*/true);
