@@ -8,12 +8,18 @@
 //   --quick            smaller iteration counts (CI-friendly; ratios remain meaningful)
 //   --out <path>       output JSON path (default: BENCH_perf.json in the working directory)
 //   --baseline <path>  prior bench_perf JSON; its "current" section becomes our "baseline"
+//   --ab <ref-binary>  same-session A/B of the --quick micros: runs this binary and another
+//                      bench_perf build alternately for --rounds rounds (default 10) and
+//                      prints per-key medians, the median and best-of ratios, and the rounds
+//                      this binary won
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -209,25 +215,53 @@ double MicroAdmissionReadmit(int64_t cycles) {
 }
 
 // The eviction queue alone: steady-state rekeys with periodic pop/reinsert, over a resident
-// set of 4096 pages (the §5.1 per-token bookkeeping).
+// set of 4096 pages (the §5.1 per-token bookkeeping). The bench owns the per-page state,
+// epoch and key the way SmallPageAllocator's slot metadata does, and answers liveness from it.
 double MicroEvictorChurn(int64_t iters) {
   constexpr int kPages = 4096;
+  struct Slot {
+    bool evictable = false;
+    uint64_t epoch = 0;
+    Tick last_access = 0;
+    int64_t prefix_length = 0;
+  };
+  std::vector<Slot> slots(kPages);
+  uint64_t next_epoch = 1;
   Evictor evictor;
+  const auto is_live = [&slots](const Evictor::Entry& e) {
+    const Slot& slot = slots[static_cast<size_t>(e.page)];
+    return slot.evictable && slot.epoch == e.epoch && slot.last_access == e.last_access &&
+           slot.prefix_length == -e.neg_prefix_length;
+  };
+  const auto queue = [&](SmallPageId page) {
+    Slot& slot = slots[static_cast<size_t>(page)];
+    slot.evictable = true;
+    slot.epoch = next_epoch++;
+    evictor.Push(page, slot.last_access, slot.prefix_length, slot.epoch);
+    evictor.MaybeCompact(kPages, is_live);
+  };
   Tick now = 0;
   for (SmallPageId p = 0; p < kPages; ++p) {
-    evictor.Insert(p, ++now, p % 257);
+    slots[static_cast<size_t>(p)].last_access = ++now;
+    slots[static_cast<size_t>(p)].prefix_length = p % 257;
+    queue(p);
   }
   const auto begin = Clock::now();
   for (int64_t i = 0; i < iters; ++i) {
     ++now;
-    evictor.UpdateLastAccess(i % kPages, now);
+    const auto page = static_cast<SmallPageId>(i % kPages);
+    slots[static_cast<size_t>(page)].last_access = now;
+    queue(page);
     if (i % 16 == 15) {
-      const auto victim = evictor.PopVictim();
-      evictor.Insert(*victim, now, static_cast<int64_t>(i % 509));
+      const auto victim = evictor.PopVictim(is_live);
+      Slot& slot = slots[static_cast<size_t>(*victim)];
+      slot.last_access = now;
+      slot.prefix_length = i % 509;
+      queue(*victim);
     }
   }
   const auto end = Clock::now();
-  g_sink = g_sink + static_cast<int64_t>(evictor.size());
+  g_sink = g_sink + static_cast<int64_t>(evictor.heap_entries());
   return static_cast<double>(iters) / Seconds(begin, end);
 }
 
@@ -841,6 +875,97 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
   return true;
 }
 
+// Runs `binary --quick` once and returns its micro keys (micro.* and elastic.*), or an empty
+// map when the run or its JSON failed.
+std::map<std::string, double> RunQuickMicros(const std::string& binary, const std::string& json) {
+  const std::string command = "'" + binary + "' --quick --out '" + json + "' > /dev/null";
+  if (std::system(command.c_str()) != 0) {
+    return {};
+  }
+  std::ifstream file(json);
+  std::ostringstream text;
+  text << file.rdbuf();
+  std::map<std::string, double> micros;
+  for (const auto& [key, value] : ParseFlatNumbers(ExtractObject(text.str(), "current"))) {
+    if (key.rfind("micro.", 0) == 0 || key.rfind("elastic.", 0) == 0) {
+      micros[key] = value;
+    }
+  }
+  return micros;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+// Same-session A/B of the micros against `ref` (another bench_perf build). Rounds alternate
+// which binary runs first, so a drift in host speed lands on both sides.
+bool RunAb(const std::string& self, const std::string& ref, int rounds) {
+  for (const std::string& binary : {self, ref}) {
+    if (binary.find('\'') != std::string::npos) {
+      std::fprintf(stderr, "--ab: binary paths must not contain a single quote\n");
+      return false;
+    }
+  }
+  const std::string json =
+      (std::filesystem::temp_directory_path() /
+       ("bench_perf_ab_" + std::to_string(
+                               Clock::now().time_since_epoch().count()) + ".json"))
+          .string();
+  std::map<std::string, std::vector<double>> ref_runs;
+  std::map<std::string, std::vector<double>> new_runs;
+  for (int round = 0; round < rounds; ++round) {
+    for (int leg = 0; leg < 2; ++leg) {
+      const bool ref_leg = (round + leg) % 2 == 0;
+      const std::map<std::string, double> micros = RunQuickMicros(ref_leg ? ref : self, json);
+      if (micros.empty()) {
+        std::fprintf(stderr, "--ab: %s --quick failed\n", (ref_leg ? ref : self).c_str());
+        std::filesystem::remove(json);
+        return false;
+      }
+      for (const auto& [key, value] : micros) {
+        (ref_leg ? ref_runs : new_runs)[key].push_back(value);
+      }
+    }
+  }
+  std::filesystem::remove(json);
+
+  PrintHeader("bench_perf --ab: " + std::to_string(rounds) + " alternating rounds, this binary vs " +
+              ref);
+  PrintRow({{36, "micro (ops/sec)"},
+            {12, "ref median"},
+            {12, "new median"},
+            {10, "median"},
+            {10, "best-of"},
+            {8, "wins"}});
+  PrintRule();
+  for (const auto& [key, ref_values] : ref_runs) {
+    const auto it = new_runs.find(key);
+    if (it == new_runs.end() || it->second.size() != ref_values.size()) {
+      PrintRow({{36, key}, {12, "missing in one binary"}});
+      continue;
+    }
+    const std::vector<double>& new_values = it->second;
+    int wins = 0;
+    for (size_t i = 0; i < ref_values.size(); ++i) {
+      wins += new_values[i] > ref_values[i] ? 1 : 0;
+    }
+    const double ref_median = Median(ref_values);
+    const double new_median = Median(new_values);
+    const double ref_best = *std::max_element(ref_values.begin(), ref_values.end());
+    const double new_best = *std::max_element(new_values.begin(), new_values.end());
+    PrintRow({{36, key},
+              {12, Fmt("%.3g", ref_median)},
+              {12, Fmt("%.3g", new_median)},
+              {10, Fmt("%.2fx", ref_median > 0 ? new_median / ref_median : 0.0)},
+              {10, Fmt("%.2fx", ref_best > 0 ? new_best / ref_best : 0.0)},
+              {8, std::to_string(wins) + "/" + std::to_string(ref_values.size())}});
+  }
+  return true;
+}
+
 }  // namespace
 }  // namespace jenga
 
@@ -850,6 +975,8 @@ int main(int argc, char** argv) {
   int profile = 0;
   std::string out_path = "BENCH_perf.json";
   std::string baseline_path;
+  std::string ab_ref;
+  int rounds = 10;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
@@ -863,13 +990,21 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--ab") == 0 && i + 1 < argc) {
+      ab_ref = argv[++i];
+    } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc &&
+               std::atoi(argv[i + 1]) > 0) {
+      rounds = std::atoi(argv[++i]);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--gate] [--profile|--profile-only] [--out path] "
-                   "[--baseline path]\n",
+                   "[--baseline path] [--ab ref-binary [--rounds n]]\n",
                    argv[0]);
       return 2;
     }
+  }
+  if (!ab_ref.empty()) {
+    return jenga::RunAb(argv[0], ab_ref, rounds) ? 0 : 1;
   }
   return jenga::Run(quick, gate, profile, out_path, baseline_path) ? 0 : 1;
 }

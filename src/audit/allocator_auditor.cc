@@ -1,7 +1,6 @@
 #include "src/audit/allocator_auditor.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 
 namespace jenga {
@@ -140,10 +139,10 @@ void AllocatorAuditor::SeedAllocatorShadow(AllocState* state) {
       for (int slot = 0; slot < grp.pages_per_large_; ++slot) {
         const SmallPageAllocator::SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
         shadow.slots[base + slot] = ShadowSlot{meta.state, meta.assoc};
+        if (meta.state == PageState::kEvictable) {
+          shadow.evictor[base + slot] = {meta.last_access, meta.prefix_length};
+        }
       }
-    }
-    for (const auto& [page, key] : grp.evictor_.keys_) {
-      shadow.evictor[page] = {key.last_access, -key.neg_prefix_length};
     }
   }
 }
@@ -473,7 +472,7 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
   int64_t evictable = 0;
   int64_t empty = 0;
   int64_t indexed_pages = 0;
-  std::unordered_map<SmallPageId, Evictor::Key> ground_truth;
+  std::unordered_map<SmallPageId, std::pair<Tick, int64_t>> ground_truth;  // page → key.
 
   for (size_t index = 0; index < grp.larges_.size(); ++index) {
     const SmallPageAllocator::LargeEntry& entry = grp.larges_[index];
@@ -514,9 +513,6 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
             Fail(out, tag + "used page " + std::to_string(page) + " has ref_count " +
                           std::to_string(meta.ref_count));
           }
-          if (grp.evictor_.Contains(page)) {
-            Fail(out, tag + "used page " + std::to_string(page) + " present in evictor");
-          }
           break;
         case PageState::kEvictable: {
           entry_evictable += 1;
@@ -533,17 +529,13 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
                             " not reachable through the cache index");
             }
           }
-          ground_truth.emplace(page,
-                               Evictor::Key{meta.last_access, -meta.prefix_length, page});
+          ground_truth.emplace(page, std::make_pair(meta.last_access, meta.prefix_length));
           break;
         }
         case PageState::kEmpty:
           if (meta.ref_count != 0 || meta.has_hash) {
             Fail(out, tag + "empty page " + std::to_string(page) +
                           " carries refs or cached content");
-          }
-          if (grp.evictor_.Contains(page)) {
-            Fail(out, tag + "empty page " + std::to_string(page) + " present in evictor");
           }
           break;
       }
@@ -598,59 +590,59 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
                   std::to_string(resident * grp.pages_per_large_));
   }
 
-  // Evictor: authoritative keys == ground truth == event shadow; lazy heap covers all keys.
-  if (grp.evictor_.keys_.size() != ground_truth.size()) {
-    Fail(out, tag + "evictor holds " + std::to_string(grp.evictor_.keys_.size()) +
-                  " keys, ground truth " + std::to_string(ground_truth.size()));
-  }
-  for (const auto& [page, key] : ground_truth) {
-    const auto it = grp.evictor_.keys_.find(page);
-    if (it == grp.evictor_.keys_.end()) {
-      Fail(out, tag + "evictable page " + std::to_string(page) + " missing from evictor");
+  // Evictor, in one pass over the lazy heap. An entry carrying its slot's current epoch is the
+  // page's live entry: it must belong to an evictable page and hold that page's key (a key
+  // write that skipped the queue shows up here), and every evictable page must have exactly
+  // one. The event shadow must agree with the slot metadata.
+  const auto key_string = [](Tick last_access, int64_t prefix_length) {
+    std::ostringstream os;
+    os << "(" << last_access << "," << prefix_length << ")";
+    return os.str();
+  };
+  std::unordered_map<SmallPageId, int> live_entries;
+  for (const Evictor::Entry& e : grp.evictor_.entries()) {
+    if (!grp.IsResident(grp.LargeOf(e.page))) {
       continue;
     }
-    if (it->second != key) {
-      Fail(out, tag + "evictor key for page " + std::to_string(page) + " is (" +
-                    std::to_string(it->second.last_access) + "," +
-                    std::to_string(-it->second.neg_prefix_length) + "), slot metadata says (" +
-                    std::to_string(key.last_access) + "," +
-                    std::to_string(-key.neg_prefix_length) + ")");
+    const SmallPageAllocator::SlotMeta& meta = grp.Meta(e.page);
+    if (meta.epoch != e.epoch) {
+      continue;
+    }
+    if (meta.state != PageState::kEvictable) {
+      Fail(out, tag + PageStateName(meta.state) + " page " + std::to_string(e.page) +
+                    " has a live evictor entry");
+      continue;
+    }
+    if (!grp.IsLiveEvictorEntry(e)) {
+      Fail(out, tag + "evictor entry for page " + std::to_string(e.page) + " is " +
+                    key_string(e.last_access, -e.neg_prefix_length) +
+                    ", slot metadata says " + key_string(meta.last_access, meta.prefix_length));
+    }
+    live_entries[e.page] += 1;
+  }
+  for (const auto& [page, key] : ground_truth) {
+    const auto live = live_entries.find(page);
+    const int count = live == live_entries.end() ? 0 : live->second;
+    if (count != 1) {
+      Fail(out, tag + "evictable page " + std::to_string(page) + " has " +
+                    std::to_string(count) + " live evictor entries, expected 1");
     }
     const auto sh = shadow.evictor.find(page);
     if (sh == shadow.evictor.end()) {
       Fail(out, tag + "evictor page " + std::to_string(page) + " missing from shadow");
-    } else if (sh->second.first != key.last_access ||
-               sh->second.second != -key.neg_prefix_length) {
-      Fail(out, tag + "shadow evictor key for page " + std::to_string(page) + " is (" +
-                    std::to_string(sh->second.first) + "," +
-                    std::to_string(sh->second.second) + "), expected (" +
-                    std::to_string(key.last_access) + "," +
-                    std::to_string(-key.neg_prefix_length) + ")");
+    } else if (sh->second != key) {
+      Fail(out, tag + "shadow evictor key for page " + std::to_string(page) + " is " +
+                    key_string(sh->second.first, sh->second.second) + ", expected " +
+                    key_string(key.first, key.second));
     }
   }
   if (shadow.evictor.size() != ground_truth.size()) {
     Fail(out, tag + "shadow evictor holds " + std::to_string(shadow.evictor.size()) +
                   " pages, ground truth " + std::to_string(ground_truth.size()));
   }
-  if (!std::is_heap(grp.evictor_.heap_.begin(), grp.evictor_.heap_.end(),
-                    std::greater<Evictor::Key>{})) {
+  if (!std::is_heap(grp.evictor_.entries().begin(), grp.evictor_.entries().end(),
+                    Evictor::EvictsLater{})) {
     Fail(out, tag + "evictor heap violates the heap property");
-  }
-  if (grp.evictor_.heap_.size() < grp.evictor_.keys_.size()) {
-    Fail(out, tag + "evictor heap has fewer entries than live keys");
-  }
-  std::unordered_set<SmallPageId> covered;
-  for (const Evictor::Key& key : grp.evictor_.heap_) {
-    const auto it = grp.evictor_.keys_.find(key.page);
-    if (it != grp.evictor_.keys_.end() && it->second == key) {
-      covered.insert(key.page);
-    }
-  }
-  for (const auto& [page, key] : grp.evictor_.keys_) {
-    if (!covered.contains(page)) {
-      Fail(out, tag + "live evictor key for page " + std::to_string(page) +
-                    " has no matching heap entry (lost tombstone)");
-    }
   }
 
   // Cache index: every entry resolves to a resident page carrying that hash.

@@ -11,10 +11,10 @@
 //     and the byte breakdown conserves (allocated == used + evictable + empty);
 //   - affinity free lists hold only refs whose (live) slot is empty and associated with the
 //     list's request, and the stale-inclusive ref accounting matches;
-//   - the evictor's authoritative key map equals a ground-truth rebuild from the slot
-//     metadata, its lazy heap covers every live key and satisfies the heap property, and the
-//     shadow (event-derived) copy agrees — so an UpdateLastAccess/SetPrefixLength that
-//     skipped the evictor (or vice versa) is caught;
+//   - every evictable page has exactly one live entry in its group's evictor heap, that
+//     entry's key equals the slot metadata and the shadow (event-derived) key, used and empty
+//     pages have none, and the heap satisfies the heap property — so an
+//     UpdateLastAccess/SetPrefixLength that skipped the evictor (or vice versa) is caught;
 //   - every whole-evictable large page is represented on the global reclaim heap with a
 //     timestamp no newer than its current one (lazy re-key contract);
 //   - the prefix-cache index maps each hash to a resident page carrying that hash, and every

@@ -47,7 +47,7 @@ class AuditSink {
   // cross-check the bulk path against its per-page shadow state.
   virtual void OnBulkAllocate(int /*group*/, RequestId /*request*/, int64_t /*count*/) {}
 
-  // --- Evictor transitions ---
+  // --- Evictor transitions (emitted by SmallPageAllocator for its group's queue) ---
 
   virtual void OnEvictorInsert(int /*group*/, SmallPageId /*page*/, Tick /*last_access*/, int64_t /*prefix_length*/) {}
   virtual void OnEvictorRemove(int /*group*/, SmallPageId /*page*/) {}

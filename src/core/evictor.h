@@ -3,86 +3,93 @@
 // prefix-length tie-break so that, among pages last touched at the same time, the deepest
 // token is evicted first — keeping evicted sets aligned across layer types.
 //
-// Implementation: a lazy-deletion binary heap. Remove and rekey tombstone the old heap entry
-// (the authoritative key lives in `keys_`); PopVictim/PeekOldestAccess discard stale entries
-// on the way down. This turns the per-token UpdateLastAccess/SetPrefixLength rekeys from
-// O(log n) node-allocating tree operations into O(log n) in-place heap pushes, and keeps the
-// victim order bit-identical to the ordered-set formulation: a heap entry is honored only
-// when it equals the page's current key, so the popped sequence is exactly the ascending
-// (last_access, -prefix_length, page) order over live keys.
+// Implementation: a lazy-deletion binary min-heap of entries {last_access, -prefix_length,
+// page, epoch} and nothing else. The queue keeps no second copy of which pages are evictable
+// or of their keys: the owner (SmallPageAllocator) already stores each page's state, epoch,
+// last_access and prefix_length in its slot metadata, and passes a liveness predicate to
+// PopVictim and MaybeCompact. An entry is live iff its page is resident and evictable, the
+// slot's epoch equals the entry's and the slot's key equals the entry's.
+//
+// The owner pushes an entry, under a freshly bumped slot epoch, whenever a page turns
+// evictable and whenever an evictable page's key actually changes, so every evictable page
+// has exactly one live entry and every older entry of that page is stale. A page leaving the
+// evictable state (revive, empty, reclaim, step-5 claim) needs no queue work: its entry dies
+// with the state change. PopVictim discards stale entries on the way down, and compaction
+// sweeps them in place once they outnumber the live ones, so the heap stays O(evictable).
+//
+// Ordering compares (last_access, -prefix_length, page) only; the epoch never orders. With one
+// live entry per page, the popped sequence is exactly the ascending (last_access,
+// -prefix_length, page) order over the live keys — the ordered-set formulation's order.
 
 #ifndef JENGA_SRC_CORE_EVICTOR_H_
 #define JENGA_SRC_CORE_EVICTOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
-#include "src/core/audit_events.h"
 #include "src/core/types.h"
 
 namespace jenga {
 
 class Evictor {
  public:
-  // Adds `page` to the queue with the given priority; the page must not already be present.
-  void Insert(SmallPageId page, Tick last_access, int64_t prefix_length);
-
-  // Removes `page` (it became used or empty). No-op if absent.
-  void Remove(SmallPageId page);
-
-  // Re-keys `page` in place if present; no-op otherwise (metadata for used pages is kept by
-  // the small-page allocator and applied on insertion).
-  void UpdateLastAccess(SmallPageId page, Tick last_access);
-  void SetPrefixLength(SmallPageId page, int64_t prefix_length);
-
-  // Pops the eviction victim: earliest last_access, then longest prefix_length, then lowest
-  // page id (for determinism).
-  [[nodiscard]] std::optional<SmallPageId> PopVictim();
-
-  [[nodiscard]] bool Contains(SmallPageId page) const { return keys_.contains(page); }
-  [[nodiscard]] size_t size() const { return keys_.size(); }
-  [[nodiscard]] bool empty() const { return keys_.empty(); }
-
-  // Priority of the page that PopVictim would return, without popping.
-  [[nodiscard]] std::optional<Tick> PeekOldestAccess() const;
-
-  // Heap entries including tombstones; bounded at O(size()) by compaction (test/bench only).
-  [[nodiscard]] size_t heap_entries() const { return heap_.size(); }
-
-  // Audit observation (nullptr = detached); `group` tags this queue's events.
-  void set_audit_sink(AuditSink* sink, int group) {
-    audit_ = sink;
-    audit_group_ = group;
-  }
-
- private:
-  friend class AllocatorAuditor;
-  struct Key {
-    Tick last_access;
-    int64_t neg_prefix_length;  // negated so larger prefixes sort first.
-    SmallPageId page;
-    auto operator<=>(const Key&) const = default;
+  struct Entry {
+    Tick last_access = 0;
+    int64_t neg_prefix_length = 0;  // Negated so larger prefixes sort first.
+    SmallPageId page = kNoSmallPage;
+    uint64_t epoch = 0;  // The owner's slot epoch at push time; liveness only.
   };
 
-  // A heap entry is live iff it matches the page's current key; everything else is a
-  // tombstone left behind by Remove/rekey.
-  [[nodiscard]] bool IsLive(const Key& key) const {
-    const auto it = keys_.find(key.page);
-    return it != keys_.end() && it->second == key;
-  }
-  void Push(Key key);
-  // Discards stale entries from the heap top (const: tombstone cleanup is not observable).
-  void DropStaleTop() const;
-  // Rebuilds the heap from live keys when tombstones dominate.
-  void MaybeCompact();
+  // Heap comparator: true when `a` is evicted after `b` (std::greater over the victim key).
+  struct EvictsLater {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return std::tie(a.last_access, a.neg_prefix_length, a.page) >
+             std::tie(b.last_access, b.neg_prefix_length, b.page);
+    }
+  };
 
-  // Min-heap over Key (ascending order through std::greater).
-  mutable std::vector<Key> heap_;
-  std::unordered_map<SmallPageId, Key> keys_;
-  AuditSink* audit_ = nullptr;
-  int audit_group_ = 0;
+  // Queues `page` under its current key and epoch.
+  void Push(SmallPageId page, Tick last_access, int64_t prefix_length, uint64_t epoch) {
+    heap_.push_back(Entry{last_access, -prefix_length, page, epoch});
+    std::push_heap(heap_.begin(), heap_.end(), EvictsLater{});
+  }
+
+  // Pops the eviction victim: earliest last_access, then longest prefix_length, then lowest
+  // page id (for determinism), among entries `is_live` accepts. Stale entries met on the way
+  // are discarded.
+  template <typename IsLive>
+  [[nodiscard]] std::optional<SmallPageId> PopVictim(const IsLive& is_live) {
+    while (!heap_.empty()) {
+      const Entry top = heap_.front();
+      std::pop_heap(heap_.begin(), heap_.end(), EvictsLater{});
+      heap_.pop_back();
+      if (is_live(top)) {
+        return top.page;
+      }
+    }
+    return std::nullopt;
+  }
+
+  // Sweeps stale entries in place once the heap exceeds max(64, 2 * live_count).
+  template <typename IsLive>
+  void MaybeCompact(int64_t live_count, const IsLive& is_live) {
+    if (heap_.size() <= 64 || static_cast<int64_t>(heap_.size()) <= 2 * live_count) {
+      return;
+    }
+    std::erase_if(heap_, [&is_live](const Entry& entry) { return !is_live(entry); });
+    std::make_heap(heap_.begin(), heap_.end(), EvictsLater{});
+  }
+
+  // Heap entries, stale ones included (consistency checks, tests and benches).
+  [[nodiscard]] const std::vector<Entry>& entries() const { return heap_; }
+  [[nodiscard]] size_t heap_entries() const { return heap_.size(); }
+
+ private:
+  // Min-heap over the victim key (ascending order through EvictsLater).
+  std::vector<Entry> heap_;
 };
 
 }  // namespace jenga

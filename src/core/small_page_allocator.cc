@@ -212,7 +212,9 @@ std::optional<SmallPageId> SmallPageAllocator::Allocate(RequestId request, Tick 
   }
 
   // Step 5: evict this group's LRU evictable page and reuse it in place.
-  if (const auto victim = evictor_.PopVictim()) {
+  if (const auto victim = evictor_.PopVictim(
+          [this](const Evictor::Entry& entry) { return IsLiveEvictorEntry(entry); })) {
+    JENGA_AUDIT_HOOK(audit_, OnEvictorPop(group_index_, *victim));
     const LargePageId large = LargeOf(*victim);
     LargeEntry& entry = Entry(large);
     SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(*victim))];
@@ -273,7 +275,7 @@ void SmallPageAllocator::AddRef(SmallPageId page) {
       meta.ref_count += 1;
       break;
     case PageState::kEvictable:
-      evictor_.Remove(page);
+      JENGA_AUDIT_HOOK(audit_, OnEvictorRemove(group_index_, page));
       meta.state = PageState::kUsed;
       meta.ref_count = 1;
       meta.epoch = next_epoch_++;
@@ -282,6 +284,7 @@ void SmallPageAllocator::AddRef(SmallPageId page) {
       evictable_count_ -= 1;
       used_count_ += 1;
       JENGA_AUDIT_HOOK(audit_, OnPageRevived(group_index_, page));
+      MaybeCompactEvictor();
       break;
     case PageState::kEmpty:
       JENGA_CHECK(false) << "AddRef on empty page " << page;
@@ -329,19 +332,23 @@ void SmallPageAllocator::TransitionToEmpty(SmallPageId page) {
   SlotMeta& meta = entry.slots[static_cast<size_t>(SlotOf(page))];
   JENGA_CHECK(meta.state != PageState::kEmpty);
   UnregisterHash(page, meta);
-  if (meta.state == PageState::kUsed) {
-    entry.used_count -= 1;
-    used_count_ -= 1;
-  } else {
-    evictor_.Remove(page);
+  const bool was_evictable = meta.state == PageState::kEvictable;
+  if (was_evictable) {
+    JENGA_AUDIT_HOOK(audit_, OnEvictorRemove(group_index_, page));
     entry.evictable_count -= 1;
     evictable_count_ -= 1;
+  } else {
+    entry.used_count -= 1;
+    used_count_ -= 1;
   }
   meta.state = PageState::kEmpty;
   meta.ref_count = 0;
   meta.epoch = next_epoch_++;
   empty_count_ += 1;
   JENGA_AUDIT_HOOK(audit_, OnPageEmptied(group_index_, page));
+  if (was_evictable) {
+    MaybeCompactEvictor();
+  }
 
   if (entry.used_count == 0 && entry.evictable_count == 0) {
     // The whole large page is empty: return it to the LCM allocator (§4.1). Stale FreeRefs to
@@ -391,13 +398,14 @@ void SmallPageAllocator::Release(SmallPageId page, bool keep_cached) {
   }
 
   meta.state = PageState::kEvictable;
-  meta.epoch = next_epoch_++;
   entry.used_count -= 1;
   entry.evictable_count += 1;
   used_count_ -= 1;
   evictable_count_ += 1;
   JENGA_AUDIT_HOOK(audit_, OnPageCached(group_index_, page, meta.hash));
-  evictor_.Insert(page, meta.last_access, meta.prefix_length);
+  QueueEvictable(page, meta);
+  JENGA_AUDIT_HOOK(audit_,
+                   OnEvictorInsert(group_index_, page, meta.last_access, meta.prefix_length));
   NotifyCandidateIfEligible(large);
 }
 
@@ -418,19 +426,43 @@ void SmallPageAllocator::SetContentHash(SmallPageId page, BlockHash hash) {
   }
 }
 
+void SmallPageAllocator::QueueEvictable(SmallPageId page, SlotMeta& meta) {
+  meta.epoch = next_epoch_++;
+  evictor_.Push(page, meta.last_access, meta.prefix_length, meta.epoch);
+  MaybeCompactEvictor();
+}
+
+void SmallPageAllocator::MaybeCompactEvictor() {
+  evictor_.MaybeCompact(evictable_count_, [this](const Evictor::Entry& entry) {
+    return IsLiveEvictorEntry(entry);
+  });
+}
+
+// Rekeys of an evictable page queue a new entry only when the key changes; the audit event
+// fires on every rekey, changed or not.
 void SmallPageAllocator::UpdateLastAccess(SmallPageId page, Tick now) {
   SlotMeta& meta = Meta(page);
+  const bool changed = now > meta.last_access;
   meta.last_access = std::max(meta.last_access, now);
   if (meta.state == PageState::kEvictable) {
-    evictor_.UpdateLastAccess(page, meta.last_access);
+    if (changed) {
+      QueueEvictable(page, meta);
+    }
+    JENGA_AUDIT_HOOK(audit_,
+                     OnEvictorRekey(group_index_, page, meta.last_access, meta.prefix_length));
   }
 }
 
 void SmallPageAllocator::SetPrefixLength(SmallPageId page, int64_t prefix_length) {
   SlotMeta& meta = Meta(page);
+  const bool changed = prefix_length != meta.prefix_length;
   meta.prefix_length = prefix_length;
   if (meta.state == PageState::kEvictable) {
-    evictor_.SetPrefixLength(page, prefix_length);
+    if (changed) {
+      QueueEvictable(page, meta);
+    }
+    JENGA_AUDIT_HOOK(audit_,
+                     OnEvictorRekey(group_index_, page, meta.last_access, meta.prefix_length));
   }
 }
 
@@ -489,7 +521,7 @@ void SmallPageAllocator::ReclaimLargePage(LargePageId large) {
     SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
     const SmallPageId page = base + slot;
     if (meta.state == PageState::kEvictable) {
-      evictor_.Remove(page);
+      JENGA_AUDIT_HOOK(audit_, OnEvictorRemove(group_index_, page));
       NotifyEviction(meta);
       UnregisterHash(page, meta);
       JENGA_AUDIT_HOOK(audit_, OnPageEvicted(group_index_, page));
@@ -499,6 +531,7 @@ void SmallPageAllocator::ReclaimLargePage(LargePageId large) {
     }
   }
   ReleaseLarge(large, entry);
+  MaybeCompactEvictor();
 }
 
 PageState SmallPageAllocator::state(SmallPageId page) const { return Meta(page).state; }
@@ -546,28 +579,22 @@ void SmallPageAllocator::CheckConsistency() const {
     ++resident;
     int32_t entry_used = 0;
     int32_t entry_evictable = 0;
-    const SmallPageId base = static_cast<SmallPageId>(large) * pages_per_large_;
-    for (int slot = 0; slot < pages_per_large_; ++slot) {
-      const SlotMeta& meta = entry.slots[static_cast<size_t>(slot)];
-      const SmallPageId page = base + slot;
+    for (const SlotMeta& meta : entry.slots) {
       JENGA_CHECK(!meta.indexed || meta.has_hash);
       indexed += meta.indexed ? 1 : 0;
       switch (meta.state) {
         case PageState::kUsed:
           JENGA_CHECK_GT(meta.ref_count, 0);
-          JENGA_CHECK(!evictor_.Contains(page));
           ++entry_used;
           break;
         case PageState::kEvictable:
           JENGA_CHECK_EQ(meta.ref_count, 0);
-          JENGA_CHECK(evictor_.Contains(page));
           JENGA_CHECK(meta.indexed);
           ++entry_evictable;
           break;
         case PageState::kEmpty:
           JENGA_CHECK_EQ(meta.ref_count, 0);
           JENGA_CHECK(!meta.has_hash);
-          JENGA_CHECK(!evictor_.Contains(page));
           break;
       }
     }
@@ -582,7 +609,26 @@ void SmallPageAllocator::CheckConsistency() const {
   JENGA_CHECK_EQ(used, used_count_);
   JENGA_CHECK_EQ(evictable, evictable_count_);
   JENGA_CHECK_EQ(empty, empty_count_);
-  JENGA_CHECK_EQ(evictable, static_cast<int64_t>(evictor_.size()));
+  // Evictor, in one pass over the heap: an entry carrying its slot's current epoch belongs to
+  // an evictable page and holds that page's key, and there is exactly one such entry per
+  // evictable page (distinct pages, as many as evictable pages).
+  std::vector<SmallPageId> live_pages;
+  for (const Evictor::Entry& e : evictor_.entries()) {
+    if (!IsResident(LargeOf(e.page)) || Meta(e.page).epoch != e.epoch) {
+      continue;
+    }
+    JENGA_CHECK(Meta(e.page).state == PageState::kEvictable)
+        << "non-evictable page " << e.page << " has a live evictor entry";
+    JENGA_CHECK(IsLiveEvictorEntry(e)) << "evictor entry of page " << e.page
+                                       << " differs from its slot metadata";
+    live_pages.push_back(e.page);
+  }
+  std::sort(live_pages.begin(), live_pages.end());
+  JENGA_CHECK(std::adjacent_find(live_pages.begin(), live_pages.end()) == live_pages.end())
+      << "evictable page with two live evictor entries";
+  JENGA_CHECK_EQ(static_cast<int64_t>(live_pages.size()), evictable);
+  JENGA_CHECK(std::is_heap(evictor_.entries().begin(), evictor_.entries().end(),
+                           Evictor::EvictsLater{}));
   int64_t by_request = 0;
   for (const auto& [request, refs] : empty_by_request_) {
     by_request += static_cast<int64_t>(refs.size());

@@ -106,10 +106,7 @@ class SmallPageAllocator final : public GroupCacheOps {
 
   // Installs an audit observer on this group and its evictor (nullptr detaches). Costs one
   // null test per transition when detached; never changes allocation behavior.
-  void set_audit_sink(AuditSink* sink) {
-    audit_ = sink;
-    evictor_.set_audit_sink(sink, group_index_);
-  }
+  void set_audit_sink(AuditSink* sink) { audit_ = sink; }
 
   // Installs a prefix-cache index-membership observer (cluster residency summaries); nullptr
   // (the default) detaches. Events track cache_index_'s key set exactly; see
@@ -169,8 +166,8 @@ class SmallPageAllocator final : public GroupCacheOps {
   };
   [[nodiscard]] FreeListStats GetFreeListStats() const;
 
-  // Verifies all internal invariants (counts, index consistency, evictor membership);
-  // test-only, O(pages).
+  // Verifies all internal invariants (counts, index consistency, one live evictor entry per
+  // evictable page); test-only, O(pages + evictor heap).
   void CheckConsistency() const;
 
  private:
@@ -250,6 +247,26 @@ class SmallPageAllocator final : public GroupCacheOps {
       refs_cache_ = nullptr;
     }
   }
+
+  // True iff `entry` is the evictor entry of its page's current evictable spell and key: the
+  // page is resident and evictable, and the slot's epoch and key equal the entry's.
+  [[nodiscard]] bool IsLiveEvictorEntry(const Evictor::Entry& entry) const {
+    const LargePageId large = LargeOf(entry.page);
+    if (!IsResident(large)) {
+      return false;
+    }
+    const SlotMeta& meta =
+        larges_[static_cast<size_t>(large)].slots[static_cast<size_t>(SlotOf(entry.page))];
+    return meta.state == PageState::kEvictable && meta.epoch == entry.epoch &&
+           meta.last_access == entry.last_access &&
+           meta.prefix_length == -entry.neg_prefix_length;
+  }
+  // Queues evictable `page` under its current key and a fresh epoch, which retires every
+  // older entry of the page.
+  void QueueEvictable(SmallPageId page, SlotMeta& meta);
+  // Bounds the evictor heap at O(evictable pages); called after every push and whenever a
+  // page leaves the evictable state.
+  void MaybeCompactEvictor();
 
   // empty → used for `request`.
   void ClaimEmpty(SmallPageId page, RequestId request, Tick now);

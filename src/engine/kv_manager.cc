@@ -153,6 +153,8 @@ void KvManager::OnAdmit(Request& r, Tick now) {
   r.num_computed_tokens = 0;
   r.cached_prefix_tokens = 0;
   state.computed_tokens = 0;
+  // Mamba state and unconsumed image embeddings are needed before any token is computed.
+  state.needed_bytes = NeededBytesFor(r);
 
   if (!options_.enable_prefix_caching) {
     return;
@@ -1098,6 +1100,12 @@ int64_t KvManager::NeededBytesFor(const Request& r) const {
     }
   }
   return needed;
+}
+
+int64_t KvManager::DecodeKvReadBytes(const Request& r) const {
+  const auto it = requests_.find(r.id);
+  JENGA_CHECK(it != requests_.end()) << "request " << r.id << " not admitted";
+  return it->second.needed_bytes;
 }
 
 KvManager::MemoryStats KvManager::GetMemoryStats() const {

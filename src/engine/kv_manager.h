@@ -157,8 +157,10 @@ class KvManager {
   // Needed bytes for one request at its current progress, per the accounting spec.
   [[nodiscard]] int64_t NeededBytesFor(const Request& r) const;
   // KV bytes a decode step must read for `r` (the bandwidth term of the cost model; identical
-  // across managers because attention kernels read only what the layer needs).
-  [[nodiscard]] int64_t DecodeKvReadBytes(const Request& r) const { return NeededBytesFor(r); }
+  // across managers because attention kernels read only what the layer needs): the
+  // NeededBytesFor value cached by the last OnAdmit/OnStepComputed (RestoreFromSwap ends in
+  // OnStepComputed). Current whenever it is called between commits, as both engines do.
+  [[nodiscard]] int64_t DecodeKvReadBytes(const Request& r) const;
 
   [[nodiscard]] const JengaAllocator& allocator() const { return allocator_; }
   // Mutable access for the audit layer (AllocatorAuditor::AttachAllocator); tests only.

@@ -1,7 +1,9 @@
-// Equivalence property test for the lazy-deletion-heap Evictor: drives it in lockstep with a
-// reference ordered-set model under random operation sequences and asserts the victim order
-// is identical. The heap implementation is only allowed to differ in *cost*, never in which
-// page PopVictim returns — eviction decisions feed every figure's determinism.
+// Equivalence property test for the lazy-deletion-heap Evictor: drives it (through
+// EvictorOwner, which keeps the per-page metadata liveness is read from, as the allocator
+// does) in lockstep with a reference ordered-set model under random operation sequences and
+// asserts the victim order is identical. The heap implementation is only allowed to differ
+// in *cost*, never in which page PopVictim returns — eviction decisions feed every figure's
+// determinism.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +14,7 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/core/evictor.h"
+#include "tests/core/evictor_owner.h"
 
 namespace jenga {
 namespace {
@@ -67,13 +69,6 @@ class ReferenceEvictor {
     return std::get<2>(key);
   }
 
-  std::optional<Tick> PeekOldestAccess() const {
-    if (order_.empty()) {
-      return std::nullopt;
-    }
-    return std::get<0>(*order_.begin());
-  }
-
   bool Contains(SmallPageId page) const { return keys_.contains(page); }
   size_t size() const { return keys_.size(); }
 
@@ -86,7 +81,7 @@ class EvictorEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EvictorEquivalenceTest, MatchesOrderedSetModel) {
   Rng rng(GetParam());
-  Evictor heap;
+  EvictorOwner heap;
   ReferenceEvictor model;
   std::set<SmallPageId> members;
   Tick now = 0;
@@ -127,12 +122,13 @@ TEST_P(EvictorEquivalenceTest, MatchesOrderedSetModel) {
       }
     }
 
-    ASSERT_EQ(heap.PeekOldestAccess(), model.PeekOldestAccess());
-    ASSERT_EQ(heap.size(), model.size());
+    ASSERT_EQ(heap.size(), static_cast<int64_t>(model.size()));
     ASSERT_EQ(heap.Contains(page), model.Contains(page));
+    // Exactly one live entry per evictable page, none for any other page.
+    ASSERT_EQ(heap.LiveEntries(page), model.Contains(page) ? 1 : 0);
     // Tombstone compaction keeps the heap O(live keys): never more than the compaction
     // threshold (2x live, floored) plus the entries pushed since the last trigger point.
-    ASSERT_LE(heap.heap_entries(), 2 * heap.size() + 65);
+    ASSERT_LE(heap.heap_entries(), static_cast<size_t>(2 * heap.size() + 65));
   }
 
   // Drain completely: the full victim sequence must match.
@@ -144,7 +140,7 @@ TEST_P(EvictorEquivalenceTest, MatchesOrderedSetModel) {
       break;
     }
   }
-  ASSERT_EQ(heap.size(), 0u);
+  ASSERT_EQ(heap.size(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EvictorEquivalenceTest,

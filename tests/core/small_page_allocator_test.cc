@@ -241,6 +241,50 @@ TEST_F(SmallPageAllocatorTest, UpdateLastAccessProtectsFromEviction) {
   alloc_.CheckConsistency();
 }
 
+TEST_F(SmallPageAllocatorTest, SetPrefixLengthOnEvictablePageReordersVictims) {
+  // Same last access: the longer prefix is evicted first, so raising a's prefix length while
+  // both pages are evictable makes a the victim.
+  SmallPageId a = *alloc_.Allocate(1, 5);
+  SmallPageId b = *alloc_.Allocate(1, 5);
+  SmallPageId filler = *alloc_.Allocate(1, 5);
+  alloc_.SetContentHash(a, 0xA);
+  alloc_.SetContentHash(b, 0xB);
+  alloc_.SetPrefixLength(a, 16);
+  alloc_.SetPrefixLength(b, 32);
+  alloc_.Release(a, true);
+  alloc_.Release(b, true);
+  alloc_.SetPrefixLength(a, 48);
+  alloc_.CheckConsistency();
+  for (int i = 0; i < 9; ++i) {
+    (void)*alloc_.Allocate(2, 60);
+  }
+  const auto victim = alloc_.Allocate(2, 61);
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_EQ(*victim, a);
+  EXPECT_TRUE(alloc_.LookupCached(0xB).has_value());
+  (void)filler;
+  alloc_.CheckConsistency();
+}
+
+TEST_F(SmallPageAllocatorTest, RekeyCycleOnEvictablePageKeepsOneLiveEvictorEntry) {
+  // A key that leaves and returns to an earlier value (16 → 48 → 16) leaves two heap entries
+  // with equal keys; only the newest is live, so the page is evicted once.
+  SmallPageId a = *alloc_.Allocate(1, 5);
+  (void)*alloc_.Allocate(1, 5);
+  alloc_.SetContentHash(a, 0xA);
+  alloc_.SetPrefixLength(a, 16);
+  alloc_.Release(a, true);
+  alloc_.SetPrefixLength(a, 48);
+  alloc_.SetPrefixLength(a, 16);
+  alloc_.CheckConsistency();
+  for (int i = 0; i < 10; ++i) {
+    (void)*alloc_.Allocate(2, 60);
+  }
+  EXPECT_EQ(*alloc_.Allocate(2, 61), a);  // Step 5: the only evictable page.
+  EXPECT_FALSE(alloc_.Allocate(2, 62).has_value());
+  alloc_.CheckConsistency();
+}
+
 TEST_F(SmallPageAllocatorTest, StatsTrackBytes) {
   (void)*alloc_.Allocate(1, 0);
   const auto stats = alloc_.GetStats();
@@ -285,6 +329,16 @@ TEST_F(SmallPageAllocatorTest, MambaStyleWholeLargePages) {
 
 TEST_F(SmallPageAllocatorTest, DeathOnForeignPage) {
   EXPECT_DEATH(alloc_.Release(99, false), "not resident");
+}
+
+TEST_F(SmallPageAllocatorTest, DeathOnReleaseOfEvictablePage) {
+  // A page enters the eviction queue only through Release of a used page, so it cannot be
+  // queued twice.
+  const SmallPageId a = *alloc_.Allocate(1, 0);
+  (void)*alloc_.Allocate(1, 0);
+  alloc_.SetContentHash(a, 0xA);
+  alloc_.Release(a, true);
+  EXPECT_DEATH(alloc_.Release(a, true), "non-used");
 }
 
 TEST_F(SmallPageAllocatorTest, DeathOnDoubleRelease) {

@@ -329,6 +329,62 @@ TEST(KvManager, DecodeKvReadBytesFollowsDependencies) {
   EXPECT_EQ(kv->DecodeKvReadBytes(r), 2LL * 256 * 320 + 2LL * 256 * 64);
 }
 
+TEST(KvManager, DecodeKvReadBytesIsCurrentAtEveryCommit) {
+  // DecodeKvReadBytes returns the value cached by the last OnAdmit/OnStepComputed; it must
+  // equal a fresh NeededBytesFor after every kind of commit, for every policy family.
+  int hit_admissions = 0;
+  for (const ModelConfig& model : {TinyFullModel(), TinySlidingModel(), TinyPyramidModel(),
+                                   TinyMambaModel(), TinyVisionModel()}) {
+    SCOPED_TRACE(model.name);
+    auto kv = MakeJengaManager(model, 1 << 24);
+    const Prompt prompt = model.vision.present ? MixedPrompt(40, 3, 8, 120) : TextPrompt(160);
+    const auto expect_current = [&](const Request& r, const char* after) {
+      EXPECT_EQ(kv->DecodeKvReadBytes(r), kv->NeededBytesFor(r)) << "after " << after;
+    };
+    // Chunked prefill, then decode steps with generated tokens.
+    Tick now = 1;
+    const auto run = [&](Request& r, int decode_steps) {
+      while (r.InPrefill()) {
+        ComputeTokens(*kv, r, std::min<int64_t>(48, r.prompt_len() - r.num_computed_tokens),
+                      ++now);
+        expect_current(r, "a prefill step");
+      }
+      for (int i = 0; i < decode_steps; ++i) {
+        r.AppendGenerated(7 + i);
+        ComputeTokens(*kv, r, 1, ++now);
+        expect_current(r, "a decode step");
+      }
+    };
+
+    Request a = MakeRequest(1, prompt, 8, 0.0);
+    kv->OnAdmit(a, ++now);
+    EXPECT_EQ(a.num_computed_tokens, 0);
+    expect_current(a, "miss admission");
+    run(a, 3);
+    kv->Release(a, ++now, /*finished=*/true);
+
+    Request b = MakeRequest(2, prompt, 8, 0.0);
+    kv->OnAdmit(b, ++now);
+    hit_admissions += b.num_computed_tokens > 0 ? 1 : 0;
+    expect_current(b, "hit admission");
+    run(b, 2);
+
+    kv->Release(b, ++now);  // Preempt and re-admit.
+    kv->OnAdmit(b, ++now);
+    expect_current(b, "re-admission");
+    run(b, 1);
+
+    const KvSwapFootprint footprint = kv->GetSwapFootprint(b);
+    const int64_t tokens = b.num_computed_tokens;
+    kv->Release(b, ++now);  // Swap out and restore.
+    ASSERT_TRUE(kv->RestoreFromSwap(b, tokens, footprint.fingerprint, ++now));
+    expect_current(b, "swap restore");
+    run(b, 1);
+    kv->CheckConsistency();
+  }
+  EXPECT_GE(hit_admissions, 3);  // The hit path ran, not only cold admissions.
+}
+
 TEST(KvManager, SharedPrefixAcrossConcurrentRequests) {
   const ModelConfig model = TinyFullModel();
   auto kv = MakeJengaManager(model, 1 << 22);
