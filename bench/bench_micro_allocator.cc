@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "src/core/block_hash.h"
 #include "src/core/jenga_allocator.h"
 #include "src/engine/engine.h"
 #include "src/model/kv_spec.h"
@@ -104,18 +103,6 @@ void BM_PrefixLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PrefixLookup);
-
-void BM_ChainBlockHashes(benchmark::State& state) {
-  std::vector<int32_t> tokens(static_cast<size_t>(state.range(0)));
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    tokens[i] = static_cast<int32_t>(i * 2654435761u % 50000);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ChainBlockHashes(tokens, 16, 7));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ChainBlockHashes)->Arg(1024)->Arg(65536);
 
 void BM_EngineDecodeStep(benchmark::State& state) {
   EngineConfig config;

@@ -29,6 +29,7 @@
 #include "bench/bench_util.h"
 #include "bench/fleet_bench.h"
 #include "bench/frontend_bench.h"
+#include "src/core/block_hash.h"
 #include "src/core/evictor.h"
 #include "src/core/jenga_allocator.h"
 #include "src/engine/engine.h"
@@ -212,6 +213,25 @@ double MicroAdmissionReadmit(int64_t cycles) {
   const auto end = Clock::now();
   kv.OnRequestRetired(7);
   return static_cast<double>(cycles) / Seconds(begin, end);
+}
+
+// Prompt hashing at admission: one 20k-token prompt (an arxiv-prefix document) chained at
+// 16-token blocks under two salts in one fused pass, as KvManager hashes Ministral's full and
+// sliding-window groups. Counts prompts hashed per second.
+double MicroPromptHash(int64_t prompts) {
+  std::vector<int32_t> tokens(20000);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<int32_t>(i * 2654435761u % 50000);
+  }
+  const uint64_t salts[] = {GroupChainSalt(0), GroupChainSalt(1)};
+  const auto begin = Clock::now();
+  for (int64_t i = 0; i < prompts; ++i) {
+    tokens[static_cast<size_t>(i) % tokens.size()] += 1;  // Not hoistable out of the loop.
+    const auto chains = ChainBlockHashesFused(tokens, 16, salts);
+    g_sink = g_sink + static_cast<int64_t>(chains[1].back());
+  }
+  const auto end = Clock::now();
+  return static_cast<double>(prompts) / Seconds(begin, end);
 }
 
 // The eviction queue alone: steady-state rekeys with periodic pop/reinsert, over a resident
@@ -753,6 +773,7 @@ bool Run(bool quick, bool gate, int profile, const std::string& out_path,
       {"micro.cache_churn.ops_per_s", MicroCacheChurn(125000 * scale)},
       {"micro.cache_churn_offload.ops_per_s", MicroCacheChurnOffload(1500 * scale)},
       {"micro.admission_readmit.ops_per_s", MicroAdmissionReadmit(1500 * scale)},
+      {"micro.prompt_hash.ops_per_s", MicroPromptHash(2000 * scale)},
       {"micro.evictor_churn.ops_per_s", MicroEvictorChurn(250000 * scale)},
       {"micro.meta_reads.ops_per_s", MicroMetaReads(1250000 * scale)},
       {"micro.deadline_sweep.steps_per_s", MicroDeadlineSweep(512 * scale)},

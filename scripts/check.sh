@@ -56,6 +56,22 @@ JENGA_FLEET_CHAOS_SCHEDULES="${JENGA_FLEET_CHAOS_SCHEDULES:-3000}" "$build/tests
 ctest --test-dir "$build" -L fleet --output-on-failure -j "$(nproc)"
 "$build/bench/bench_fleet" --quick
 
+# Outcome-digest stage: servebench's three offline workloads (BENCHMARK.json) at the default
+# seed and the held-out seed, with short runs. run.py compares every pass's outcome digest
+# with the one recorded in servebench/workloads.json and reports "correct": false on a
+# mismatch, so any change that moves a serving outcome fails here.
+for workload in arxiv-prefix mmmu-vision spec-swap; do
+  for seed in 1 97; do
+    result="$(CARGO_TARGET_DIR="$build" python3 "$repo/servebench/run.py" \
+      --workload "$workload" --seed "$seed" --seconds 1 | tail -n 1)"
+    if ! python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1])["correct"] else 1)' \
+        "$result"; then
+      echo "check.sh: servebench $workload seed $seed failed its digest or outcome checks" >&2
+      exit 1
+    fi
+  done
+done
+
 # Elastic governor acceptance (DESIGN.md §11): self-checks that a mid-trace hot swap commits
 # without aborting in-flight requests (clean and under an injected commit rollback), the
 # pressure ladder engages with a balanced cancellation ledger, and the adaptive draft/target

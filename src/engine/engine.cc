@@ -509,10 +509,10 @@ void Engine::SyncFaultMetricsSlow() {
 }
 
 double Engine::MaybeEncodeVision(Request& r, int64_t chunk_begin, int64_t chunk_end) {
-  if (!config_.model.vision.present || r.image_prefix.back() == 0) {
+  if (!config_.model.vision.present || r.num_image_tokens == 0) {
     return 0.0;
   }
-  const int64_t total_image_tokens = r.ImageTokensBefore(r.prompt_len());
+  const int64_t total_image_tokens = r.num_image_tokens;
   if (config_.jenga && config_.vision_cache) {
     // Encode once per admission; the embeddings then live in the vision-embedding cache.
     if (r.vision_encoder_runs_this_admission > 0) {
@@ -576,7 +576,7 @@ Engine::SwapAdmit Engine::TryAdmitFromSwap(Request& r, bool nothing_else_runnabl
     }
     // The vision-embedding pages came back with the swap set; don't re-run the encoder.
     if (config_.jenga && config_.vision_cache && config_.model.vision.present &&
-        r.image_prefix.back() > 0) {
+        r.num_image_tokens > 0) {
       r.vision_encoder_runs_this_admission = std::max(r.vision_encoder_runs_this_admission, 1);
     }
     running_.PushBack(r.id);

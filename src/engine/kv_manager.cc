@@ -68,6 +68,31 @@ int64_t GroupTokensFor(const Request& r, const KvGroupSpec& group, int64_t prefi
   JENGA_CHECK(false) << "unhandled scope";
 }
 
+// Appends the image tokens of all_tokens[from, to) to `image` and, when `text` is non-null, the
+// text tokens to `text`, one image run (and one gap between runs) at a time.
+void AppendModalityStreams(const Request& r, int64_t from, int64_t to, std::vector<int32_t>& image,
+                           std::vector<int32_t>* text) {
+  const int32_t* tokens = r.all_tokens.data();
+  int64_t i = from;
+  for (const Request::ImageRun& run : r.image_runs) {
+    if (run.end <= i) {
+      continue;
+    }
+    if (run.begin >= to) {
+      break;
+    }
+    if (text != nullptr && i < run.begin) {
+      text->insert(text->end(), tokens + i, tokens + run.begin);
+    }
+    const int64_t end = std::min(run.end, to);
+    image.insert(image.end(), tokens + std::max(i, run.begin), tokens + end);
+    i = end;
+  }
+  if (text != nullptr && i < to) {
+    text->insert(text->end(), tokens + i, tokens + to);
+  }
+}
+
 // How many blocks ahead the hit scan prefetches cache-index slots.
 constexpr size_t kProbeLookahead = 8;
 
@@ -135,7 +160,7 @@ int64_t KvManager::TargetPages(const Request& r, const KvGroupSpec& group,
       return 1;  // The running state; checkpoints are transient snapshots.
     case GroupKind::kVisionEmbed:
       // All of the request's vision embeddings exist from admission (encoder output).
-      return CeilDiv(r.image_prefix.back(), group.tokens_per_page);
+      return CeilDiv(r.num_image_tokens, group.tokens_per_page);
     default:
       break;
   }
@@ -276,9 +301,8 @@ void KvManager::OnAdmit(Request& r, Tick now) {
     }
   }
 
-  // Modality streams consumed so far (for future chain extension) — bulk-sliced from the
-  // memoized prompt streams by the O(1) image-prefix counts.
-  ExtendModalityStreams(r, state, memo, 0, hit_tokens);
+  // Modality streams consumed so far (for future chain extension).
+  ExtendModalityStreams(r, state, 0, hit_tokens);
 
   r.num_computed_tokens = hit_tokens;
   r.cached_prefix_tokens = hit_tokens;
@@ -291,20 +315,14 @@ KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) const {
   AdmissionMemo memo;
   const int bs = options_.tokens_per_page;
   const int64_t prompt_len = r.prompt_len();
-  // Prompt modality subsequences, extracted in one pass: they seed the subsequence-scope hash
-  // chains below and the stream rebuilds in OnAdmit/OnStepComputed, which then slice by the
-  // O(1) image-prefix counts instead of re-scanning token kinds.
-  memo.prompt_image_tokens.reserve(static_cast<size_t>(r.ImageTokensBefore(prompt_len)));
+  // Prompt modality subsequences, the streams of the subsequence-scope groups.
+  std::vector<int32_t> image_tokens;
+  std::vector<int32_t> text_tokens;
+  image_tokens.reserve(static_cast<size_t>(r.num_image_tokens));
   if (has_text_scope_) {
-    memo.prompt_text_tokens.reserve(static_cast<size_t>(r.TextTokensBefore(prompt_len)));
+    text_tokens.reserve(static_cast<size_t>(prompt_len - r.num_image_tokens));
   }
-  for (int64_t i = 0; i < prompt_len; ++i) {
-    if (r.all_kinds[static_cast<size_t>(i)] == TokenKind::kImage) {
-      memo.prompt_image_tokens.push_back(r.all_tokens[static_cast<size_t>(i)]);
-    } else if (has_text_scope_) {
-      memo.prompt_text_tokens.push_back(r.all_tokens[static_cast<size_t>(i)]);
-    }
-  }
+  AppendModalityStreams(r, 0, prompt_len, image_tokens, has_text_scope_ ? &text_tokens : nullptr);
   // Each group hashes one stream — the prompt, or a modality subsequence of it — at one block
   // size (checkpoint interval for Mamba). Groups sharing both differ only by salt, so each
   // such class is hashed in one fused pass (Ministral's full and sliding groups, the vision
@@ -314,8 +332,8 @@ KvManager::AdmissionMemo KvManager::BuildAdmissionMemo(const Request& r) const {
   std::array<int, kMaxGroups> block_sizes{};
   for (size_t g = 0; g < num_groups; ++g) {
     const KvGroupSpec& group = spec_.groups[g];
-    streams[g] = group.scope == GroupScope::kImageTokens  ? &memo.prompt_image_tokens
-                 : group.scope == GroupScope::kTextTokens ? &memo.prompt_text_tokens
+    streams[g] = group.scope == GroupScope::kImageTokens  ? &image_tokens
+                 : group.scope == GroupScope::kTextTokens ? &text_tokens
                                                           : &r.prompt.tokens;
     block_sizes[g] = group.kind == GroupKind::kMamba ? kMambaCheckpointInterval : bs;
   }
@@ -426,30 +444,10 @@ int64_t KvManager::ResolveHitBoundary(const Request& r,
   return result;
 }
 
-void KvManager::ExtendModalityStreams(const Request& r, RequestKv& state,
-                                      const AdmissionMemo* memo, int64_t from, int64_t to) {
-  int64_t i = from;
-  if (memo != nullptr) {
-    const int64_t prompt_end = std::min<int64_t>(to, r.prompt_len());
-    if (i < prompt_end) {
-      const auto img = memo->prompt_image_tokens.begin();
-      state.image_tokens.insert(state.image_tokens.end(), img + r.ImageTokensBefore(i),
-                                img + r.ImageTokensBefore(prompt_end));
-      if (has_text_scope_) {
-        const auto txt = memo->prompt_text_tokens.begin();
-        state.text_tokens.insert(state.text_tokens.end(), txt + r.TextTokensBefore(i),
-                                 txt + r.TextTokensBefore(prompt_end));
-      }
-      i = prompt_end;
-    }
-  }
-  for (; i < to; ++i) {
-    if (r.all_kinds[static_cast<size_t>(i)] == TokenKind::kImage) {
-      state.image_tokens.push_back(r.all_tokens[static_cast<size_t>(i)]);
-    } else if (has_text_scope_) {
-      state.text_tokens.push_back(r.all_tokens[static_cast<size_t>(i)]);
-    }
-  }
+void KvManager::ExtendModalityStreams(const Request& r, RequestKv& state, int64_t from,
+                                      int64_t to) {
+  AppendModalityStreams(r, from, to, state.image_tokens,
+                        has_text_scope_ ? &state.text_tokens : nullptr);
 }
 
 bool KvManager::AllocateForTokens(Request& r, int64_t n, Tick now) {
@@ -614,7 +612,7 @@ void KvManager::FreeConsumedVisionPages(const Request& r, RequestKv& state, Tick
   SmallPageAllocator& alloc = allocator_.group(vision_group_);
   const int bs = spec_.groups[static_cast<size_t>(vision_group_)].tokens_per_page;
   const int64_t consumed = r.ImageTokensBefore(r.num_computed_tokens);
-  const int64_t total = r.image_prefix.back();
+  const int64_t total = r.num_image_tokens;
   while (gs.drop_cursor < static_cast<int64_t>(gs.pages.size())) {
     const int64_t j = gs.drop_cursor;
     const bool fully_consumed = (j + 1) * bs <= consumed || consumed == total;
@@ -644,13 +642,9 @@ RequestPages KvManager::ViewOf(const Request& r, const RequestKv& state, int g) 
 void KvManager::OnStepComputed(Request& r, Tick now) {
   RequestKv& state = StateOf(r);
   if (options_.enable_prefix_caching) {
-    // Extend the modality streams with newly computed tokens (bulk copy over the prompt
-    // portion when the admission memo is available — the swap-restore replay covers thousands
-    // of tokens in one call).
+    ExtendModalityStreams(r, state, state.computed_tokens, r.num_computed_tokens);
     const auto memo_it = admission_memos_.find(r.id);
-    const AdmissionMemo* memo = memo_it == admission_memos_.end() ? nullptr : &memo_it->second;
-    ExtendModalityStreams(r, state, memo, state.computed_tokens, r.num_computed_tokens);
-    RegisterHashes(r, state, memo, now);
+    RegisterHashes(r, state, memo_it == admission_memos_.end() ? nullptr : &memo_it->second, now);
   }
   if (options_.jenga) {
     for (size_t g = 0; g < spec_.groups.size(); ++g) {
@@ -1086,7 +1080,7 @@ int64_t KvManager::NeededBytesFor(const Request& r) const {
         break;
       case GroupKind::kVisionEmbed: {
         if (vision_group_ >= 0) {
-          const int64_t unconsumed = r.image_prefix.back() - r.ImageTokensBefore(c);
+          const int64_t unconsumed = r.num_image_tokens - r.ImageTokensBefore(c);
           needed += unconsumed * group.bytes_per_token_per_layer;
         }
         break;

@@ -205,15 +205,11 @@ class KvManager {
   };
 
   // Immutable per-request admission inputs, computed once (prompts never change) and reused
-  // across re-admissions: the per-group prompt hash chains of OnAdmit's §5.2 scan (which
-  // RegisterHashes reuses as the prompt blocks complete) plus the prompt's modality
-  // subsequence streams. `prompt_text_tokens` is maintained only when a text-scoped group
-  // exists, mirroring RequestKv::text_tokens. Entries are dropped when the
+  // across re-admissions: the per-group prompt hash chains of OnAdmit's §5.2 scan, which
+  // RegisterHashes reuses as the prompt blocks complete. Entries are dropped when the
   // request id retires (Release(finished) / OnRequestRetired); preempted requests keep theirs.
   struct AdmissionMemo {
     std::vector<std::vector<BlockHash>> group_hashes;
-    std::vector<int32_t> prompt_image_tokens;
-    std::vector<int32_t> prompt_text_tokens;
   };
 
   [[nodiscard]] RequestKv& StateOf(const Request& r);
@@ -229,11 +225,9 @@ class KvManager {
                                            const std::vector<std::vector<BlockHash>>& group_hashes,
                                            bool include_host,
                                            std::vector<BlockHitResolver>& resolvers) const;
-  // Appends all_tokens[from, to) to the modality subsequence streams. The prompt portion is
-  // bulk-copied from the memo (sliced by the O(1) image-prefix counts) when one is available;
-  // generated tokens fall back to the per-token kind scan.
-  void ExtendModalityStreams(const Request& r, RequestKv& state, const AdmissionMemo* memo,
-                             int64_t from, int64_t to);
+  // Appends all_tokens[from, to) to the modality subsequence streams, one image run at a time
+  // (nothing for a text-only request when no group is text-scoped).
+  void ExtendModalityStreams(const Request& r, RequestKv& state, int64_t from, int64_t to);
   [[nodiscard]] uint64_t GroupSalt(int g) const { return GroupChainSalt(g); }
   // Target block-table size for group `g` once `prefix_tokens` tokens are computed.
   [[nodiscard]] int64_t TargetPages(const Request& r, const KvGroupSpec& group,

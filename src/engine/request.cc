@@ -1,5 +1,7 @@
 #include "src/engine/request.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace jenga {
@@ -23,23 +25,44 @@ void Request::Prepare() {
   if (!prompt.kinds.empty()) {
     JENGA_CHECK_EQ(prompt.kinds.size(), prompt.tokens.size());
   }
-  all_tokens = prompt.tokens;
-  all_kinds.assign(static_cast<size_t>(prompt.size()), TokenKind::kText);
-  if (!prompt.kinds.empty()) {
-    all_kinds = prompt.kinds;
+  all_tokens.reserve(static_cast<size_t>(prompt.size() + output_len));
+  all_tokens.assign(prompt.tokens.begin(), prompt.tokens.end());
+  image_runs.clear();
+  num_image_tokens = 0;
+  for (int64_t i = 0; i < static_cast<int64_t>(prompt.kinds.size()); ++i) {
+    if (prompt.kinds[static_cast<size_t>(i)] != TokenKind::kImage) {
+      continue;
+    }
+    if (image_runs.empty() || image_runs.back().end != i) {
+      image_runs.push_back(ImageRun{i, i, num_image_tokens});
+    }
+    image_runs.back().end = i + 1;
+    ++num_image_tokens;
   }
-  image_prefix.assign(static_cast<size_t>(prompt.size()) + 1, 0);
-  for (int64_t i = 0; i < prompt.size(); ++i) {
-    image_prefix[static_cast<size_t>(i) + 1] =
-        image_prefix[static_cast<size_t>(i)] +
-        (all_kinds[static_cast<size_t>(i)] == TokenKind::kImage ? 1 : 0);
+}
+
+int64_t Request::ImageTokensBefore(int64_t position) const {
+  if (image_runs.empty()) {
+    return 0;
   }
+  // The last run that starts before `position`.
+  const auto after = std::upper_bound(
+      image_runs.begin(), image_runs.end(), position,
+      [](int64_t p, const ImageRun& run) { return p <= run.begin; });
+  if (after == image_runs.begin()) {
+    return 0;
+  }
+  const ImageRun& run = *(after - 1);
+  return run.images_before + std::min(position, run.end) - run.begin;
+}
+
+TokenKind Request::KindAt(int64_t position) const {
+  return ImageTokensBefore(position + 1) > ImageTokensBefore(position) ? TokenKind::kImage
+                                                                       : TokenKind::kText;
 }
 
 void Request::AppendGenerated(int32_t token) {
   all_tokens.push_back(token);
-  all_kinds.push_back(TokenKind::kText);
-  image_prefix.push_back(image_prefix.back());
   num_generated += 1;
 }
 

@@ -41,11 +41,19 @@ struct Request {
 
   RequestState state = RequestState::kWaiting;
   // Tokens (prompt + generated so far); generated ids are appended as they are produced so
-  // that block hashing over decode output works like hashing over the prompt.
+  // that block hashing over decode output works like hashing over the prompt. Reserved once
+  // for prompt + output_len, so appending never reallocates.
   std::vector<int32_t> all_tokens;
-  std::vector<TokenKind> all_kinds;
-  // Prefix counts of image tokens over all_tokens: image_prefix[i] = #image tokens in [0, i).
-  std::vector<int64_t> image_prefix;
+  // Maximal runs of image tokens in the prompt, sorted by position: prompt positions
+  // [begin, end) are image tokens, preceded by `images_before` image tokens. Every other
+  // position, generated tokens included, is text; a text-only prompt has no runs.
+  struct ImageRun {
+    int64_t begin = 0;
+    int64_t end = 0;
+    int64_t images_before = 0;
+  };
+  std::vector<ImageRun> image_runs;
+  int64_t num_image_tokens = 0;
 
   // Number of tokens whose KV is computed (including prefix-cache hits).
   int64_t num_computed_tokens = 0;
@@ -74,17 +82,18 @@ struct Request {
   [[nodiscard]] int64_t total_len() const { return prompt.size() + num_generated; }
   [[nodiscard]] bool InPrefill() const { return num_computed_tokens < prompt_len(); }
   [[nodiscard]] bool Finished() const { return state == RequestState::kFinished; }
-  [[nodiscard]] int64_t ImageTokensBefore(int64_t position) const {
-    return image_prefix[static_cast<size_t>(position)];
-  }
+  // Number of image tokens in [0, position).
+  [[nodiscard]] int64_t ImageTokensBefore(int64_t position) const;
   [[nodiscard]] int64_t TextTokensBefore(int64_t position) const {
     return position - ImageTokensBefore(position);
   }
+  // Modality of the token at `position`, prompt or generated.
+  [[nodiscard]] TokenKind KindAt(int64_t position) const;
 
-  // Initializes all_tokens/all_kinds/image_prefix from the prompt; must be called once before
+  // Initializes all_tokens and the image runs from the prompt; must be called once before
   // the request enters the scheduler.
   void Prepare();
-  // Appends one generated (text) token and maintains the prefix structures.
+  // Appends one generated (text) token.
   void AppendGenerated(int32_t token);
 };
 
