@@ -3,8 +3,7 @@
 // throughput and submit→first-token latency. One closed-loop client is latency-bound (the
 // engine idles during every think interval); added producers overlap their think times and
 // keep requests live for continuous batching, so throughput scales until the engine thread
-// saturates — the engine core stays single-threaded (DESIGN.md §9). Also compares the
-// sharded (alloc_shards=4) allocator hot path at the highest producer count.
+// saturates — the engine core stays single-threaded (DESIGN.md §9).
 //
 // Flags:
 //   --quick           fewer requests per producer (CI-friendly)
@@ -23,7 +22,6 @@ namespace {
 int Run(int per_producer) {
   PrintHeader("bench_frontend: closed-loop producer scaling (prompt 256, output 8)");
   PrintRow({{12, "producers"},
-            {10, "shards"},
             {12, "requests"},
             {12, "wall"},
             {14, "req/s"},
@@ -42,17 +40,6 @@ int Run(int per_producer) {
       rps_4p = r.requests_per_s;
     }
     PrintRow({{12, FmtI(producers)},
-              {10, "1"},
-              {12, FmtI(r.completed)},
-              {12, Fmt("%.3fs", r.wall_seconds)},
-              {14, Fmt("%.1f", r.requests_per_s)},
-              {12, Fmt("%.2fx", base_rps > 0 ? r.requests_per_s / base_rps : 0.0)},
-              {22, Fmt("%.2f/", r.first_token_p50_ms) + Fmt("%.2fms", r.first_token_p95_ms)}});
-  }
-  {
-    const FrontendLoadResult r = RunClosedLoop(8, per_producer, /*alloc_shards=*/4);
-    PrintRow({{12, "8"},
-              {10, "4"},
               {12, FmtI(r.completed)},
               {12, Fmt("%.3fs", r.wall_seconds)},
               {14, Fmt("%.1f", r.requests_per_s)},

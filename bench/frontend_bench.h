@@ -43,7 +43,7 @@ inline ModelConfig FrontendBenchModel() {
   return model;
 }
 
-inline EngineConfig FrontendBenchConfig(int alloc_shards = 1) {
+inline EngineConfig FrontendBenchConfig() {
   EngineConfig config;
   config.model = FrontendBenchModel();
   GpuSpec gpu;
@@ -58,7 +58,6 @@ inline EngineConfig FrontendBenchConfig(int alloc_shards = 1) {
   config.jenga = true;
   config.enable_prefix_caching = false;  // Every request pays full allocation.
   config.memory_sample_every = 0;
-  config.alloc_shards = alloc_shards;
   return config;
 }
 
@@ -74,11 +73,10 @@ struct FrontendLoadResult {
 // output 8, `think_us` of client turnaround between completion and the next submit) against
 // a started frontend and reports sustained completion throughput plus submit→first-token
 // latency percentiles.
-inline FrontendLoadResult RunClosedLoop(int producers, int per_producer, int alloc_shards = 1,
-                                        int64_t think_us = 200) {
+inline FrontendLoadResult RunClosedLoop(int producers, int per_producer, int64_t think_us = 200) {
   ServingFrontend::Options options;
   options.queue_capacity = 256;
-  ServingFrontend frontend(FrontendBenchConfig(alloc_shards), options);
+  ServingFrontend frontend(FrontendBenchConfig(), options);
   frontend.Start();
 
   std::mutex latencies_mu;

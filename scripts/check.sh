@@ -138,7 +138,7 @@ fi
 
 if [[ "${JENGA_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # TSan pass over the concurrency suite (CMakePresets.json `tsan`): the MPSC queue, the
-  # sharded claim index, the serving frontend, the multi-producer stress harness, the
+  # serving frontend, the multi-producer stress harness, the
   # multi-replica fleet frontend stress harness, and the heterogeneous-fleet elastic suite
   # (threaded FleetFrontend with per-replica pool sizes). Only these binaries run threads;
   # the rest of the suite would waste the (slow) TSan build.
@@ -151,10 +151,10 @@ if [[ "${JENGA_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # profiler attach contract and deadline-heap audit under the TSan build's different
   # optimization/timing profile for almost no extra build cost.
   cmake --build "$tsan_build" -j "$(nproc)" \
-    --target mpsc_queue_test shard_claim_test frontend_test frontend_stress_test \
+    --target mpsc_queue_test frontend_test frontend_stress_test \
              fleet_stress_test fleet_shutdown_test fleet_chaos_test fleet_elastic_test \
              step_profiler_test deadline_heap_test
-  for tsan_test in mpsc_queue_test shard_claim_test frontend_test frontend_stress_test \
+  for tsan_test in mpsc_queue_test frontend_test frontend_stress_test \
                    fleet_stress_test fleet_shutdown_test fleet_chaos_test fleet_elastic_test \
                    step_profiler_test deadline_heap_test; do
     TSAN_OPTIONS="halt_on_error=1" "$tsan_build/tests/$tsan_test"

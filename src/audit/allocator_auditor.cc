@@ -1,6 +1,7 @@
 #include "src/audit/allocator_auditor.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 namespace jenga {
@@ -668,14 +669,9 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
                   std::to_string(grp.cache_index_.size()) + " entries");
   }
 
-  // Affinity free lists: every live empty slot has exactly one valid ref in the any-list
-  // (legacy mode) or exactly its claim bit set (sharded mode); per-request refs only point
-  // at empty slots associated with that request.
-  const bool sharded = grp.claims_ != nullptr;
+  // Affinity free lists: every live empty slot has exactly one valid ref in the any-list;
+  // per-request refs only point at empty slots associated with that request.
   std::unordered_map<SmallPageId, int> any_cover;
-  if (sharded && !grp.empty_any_.empty()) {
-    Fail(out, tag + "sharded group still holds entries in the any-free list");
-  }
   for (const SmallPageAllocator::FreeRef& ref : grp.empty_any_) {
     if (grp.IsValidEmpty(ref)) {
       any_cover[ref.page] += 1;
@@ -721,26 +717,13 @@ void AllocatorAuditor::AuditGroup(size_t a, int g, std::vector<std::string>* out
       if (is_empty) {
         empty_seen += 1;
       }
-      if (sharded) {
-        const bool bit = grp.claims_->IsClaimable(static_cast<LargePageId>(index), slot);
-        if (bit != is_empty) {
-          Fail(out, tag + "claim bit for page " + std::to_string(base + slot) +
-                        (is_empty ? " missing (empty slot unclaimable)"
-                                  : " set on a non-empty slot"));
-        }
-      } else if (is_empty && !any_cover.contains(base + slot)) {
+      if (is_empty && !any_cover.contains(base + slot)) {
         Fail(out, tag + "empty page " + std::to_string(base + slot) +
                       " unreachable from the any-free list");
       }
     }
   }
-  if (sharded) {
-    if (grp.claims_->ClaimableApprox() != empty_seen) {
-      Fail(out, tag + "claim index population " +
-                    std::to_string(grp.claims_->ClaimableApprox()) + " != " +
-                    std::to_string(empty_seen) + " empty pages");
-    }
-  } else if (empty_seen != static_cast<int64_t>(any_cover.size())) {
+  if (empty_seen != static_cast<int64_t>(any_cover.size())) {
     Fail(out, tag + "any-free list covers " + std::to_string(any_cover.size()) +
                   " pages, but " + std::to_string(empty_seen) + " empty pages exist");
   }
@@ -759,23 +742,26 @@ void AllocatorAuditor::AuditReclaimHeap(size_t a, std::vector<std::string>* out)
       if (!grp.IsReclaimCandidate(large)) {
         continue;
       }
+      // AcquireLargePage pops the oldest entry first and re-pushes it when the page's
+      // timestamp has moved forward, so a candidate is evicted in LRU order as long as its
+      // oldest entry is not newer than its current timestamp. Newer entries are stale
+      // duplicates (the page left the evictable state and became a candidate again with an
+      // older max) that the pop loop revalidates; they are legal.
       const Tick current = grp.ReclaimTimestamp(large);
-      bool represented = false;
+      std::optional<Tick> oldest;
       for (const JengaAllocator::ReclaimEntry& entry : alloc.reclaim_heap_) {
-        if (entry.group != g || entry.large != large) {
-          continue;
-        }
-        represented = true;
-        if (entry.timestamp > current) {
-          Fail(out, tag + "reclaim entry for group " + std::to_string(g) + " large " +
-                        std::to_string(large) + " has timestamp " +
-                        std::to_string(entry.timestamp) + " newer than the current " +
-                        std::to_string(current));
+        if (entry.group == g && entry.large == large &&
+            (!oldest.has_value() || entry.timestamp < *oldest)) {
+          oldest = entry.timestamp;
         }
       }
-      if (!represented) {
+      if (!oldest.has_value()) {
         Fail(out, tag + "whole-evictable large page " + std::to_string(large) + " of group " +
                       std::to_string(g) + " is not represented on the reclaim heap");
+      } else if (*oldest > current) {
+        Fail(out, tag + "oldest reclaim entry for group " + std::to_string(g) + " large " +
+                      std::to_string(large) + " has timestamp " + std::to_string(*oldest) +
+                      " newer than the current " + std::to_string(current));
       }
     }
   }

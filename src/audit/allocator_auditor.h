@@ -15,8 +15,9 @@
 //     entry's key equals the slot metadata and the shadow (event-derived) key, used and empty
 //     pages have none, and the heap satisfies the heap property — so an
 //     UpdateLastAccess/SetPrefixLength that skipped the evictor (or vice versa) is caught;
-//   - every whole-evictable large page is represented on the global reclaim heap with a
-//     timestamp no newer than its current one (lazy re-key contract);
+//   - every whole-evictable large page is represented on the global reclaim heap, and its
+//     oldest entry is no newer than its current timestamp (lazy re-key contract: newer
+//     duplicates are stale and revalidated on pop);
 //   - the prefix-cache index maps each hash to a resident page carrying that hash, and every
 //     evictable page is reachable through it;
 //   - host-pool byte accounting equals the sum of parked swap sets and cache pages, the LRU

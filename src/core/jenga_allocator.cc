@@ -6,15 +6,14 @@
 
 namespace jenga {
 
-JengaAllocator::JengaAllocator(KvSpec spec, int64_t pool_bytes, int64_t large_page_bytes_override,
-                               int shards)
+JengaAllocator::JengaAllocator(KvSpec spec, int64_t pool_bytes, int64_t large_page_bytes_override)
     : spec_(std::move(spec)),
       lcm_(pool_bytes,
            large_page_bytes_override > 0 ? large_page_bytes_override : spec_.LcmPageBytes()) {
   groups_.reserve(spec_.groups.size());
   for (size_t i = 0; i < spec_.groups.size(); ++i) {
     groups_.push_back(std::make_unique<SmallPageAllocator>(static_cast<int>(i), spec_.groups[i],
-                                                           &lcm_, this, shards));
+                                                           &lcm_, this));
   }
 }
 
@@ -63,9 +62,6 @@ void JengaAllocator::OnReclaimCandidate(int group_index, LargePageId large, Tick
 
 void JengaAllocator::GrowPool(int32_t pages) {
   JENGA_CHECK_GT(pages, 0);
-  for (const auto& group : groups_) {
-    JENGA_CHECK_EQ(group->shards(), 1) << "pool resize requires the deterministic mode";
-  }
   lcm_.GrowPages(pages);
   for (const auto& group : groups_) {
     group->OnPoolResized(lcm_.num_pages());
@@ -75,9 +71,6 @@ void JengaAllocator::GrowPool(int32_t pages) {
 
 int32_t JengaAllocator::ShrinkPool(int32_t pages) {
   JENGA_CHECK_GT(pages, 0);
-  for (const auto& group : groups_) {
-    JENGA_CHECK_EQ(group->shards(), 1) << "pool resize requires the deterministic mode";
-  }
   int32_t removable = 0;
   while (removable < pages) {
     const LargePageId page = lcm_.num_pages() - 1 - removable;

@@ -22,10 +22,7 @@ class JengaAllocator final : public LargePageProvider {
  public:
   // Creates the two-level allocator over a `pool_bytes` KV pool; the large-page size is the
   // LCM of the group page sizes (overridable for ablations, must be a common multiple).
-  // `shards` > 1 switches every group allocator's empty-page index to the lock-free
-  // ShardedClaimIndex (see SmallPageAllocator); 1 keeps the deterministic legacy lists.
-  JengaAllocator(KvSpec spec, int64_t pool_bytes, int64_t large_page_bytes_override = 0,
-                 int shards = 1);
+  JengaAllocator(KvSpec spec, int64_t pool_bytes, int64_t large_page_bytes_override = 0);
 
   JengaAllocator(const JengaAllocator&) = delete;
   JengaAllocator& operator=(const JengaAllocator&) = delete;
@@ -43,7 +40,7 @@ class JengaAllocator final : public LargePageProvider {
   [[nodiscard]] std::optional<LargePageId> AcquireLargePage(int group_index) override;
   void OnReclaimCandidate(int group_index, LargePageId large, Tick timestamp) override;
 
-  // --- Elastic resize (governor-driven; requires shards == 1, the deterministic mode) ---
+  // --- Elastic resize (governor-driven) ---
 
   // Appends `pages` free large pages to the pool. Always succeeds; the governor owns the
   // decision of whether the bytes exist to back them.

@@ -29,7 +29,6 @@
 #include "src/core/evictor.h"
 #include "src/core/layer_policy.h"
 #include "src/core/lcm_allocator.h"
-#include "src/core/shard_claim.h"
 #include "src/core/types.h"
 #include "src/model/kv_spec.h"
 
@@ -49,15 +48,8 @@ class LargePageProvider {
 
 class SmallPageAllocator final : public GroupCacheOps {
  public:
-  // `shards` selects the empty-page bookkeeping for steps 1/4 of the allocation algorithm:
-  //   1 (default) — the legacy epoch-validated FreeRef lists. Fully deterministic and
-  //     bit-identical to every release before sharding existed; this mode is the oracle the
-  //     fig13–fig19 goldens pin.
-  //   >1 — a ShardedClaimIndex of per-large atomic bitmap words partitioned across `shards`.
-  //     Same invariants (checked by the AllocatorAuditor and CheckConsistency), different —
-  //     and concurrency-ready — placement order. See DESIGN.md §9.
   SmallPageAllocator(int group_index, KvGroupSpec spec, LcmAllocator* lcm,
-                     LargePageProvider* provider, int shards = 1);
+                     LargePageProvider* provider);
 
   SmallPageAllocator(const SmallPageAllocator&) = delete;
   SmallPageAllocator& operator=(const SmallPageAllocator&) = delete;
@@ -121,8 +113,7 @@ class SmallPageAllocator final : public GroupCacheOps {
   // Resizes the dense metadata slab after the LCM pool grew or shrank (elastic governor).
   // Shrink requires every removed large page to be non-resident in this group (the caller
   // drains them first); stale FreeRefs into removed pages are filtered lazily by the same
-  // residency/epoch checks that already guard releases. Sharded mode (shards > 1) has a
-  // fixed claim-index partition, so resize is gated to shards == 1 by JengaAllocator.
+  // residency/epoch checks that already guard releases.
   void OnPoolResized(int32_t new_num_larges);
 
   // --- Whole-large-page eviction support (§5.4 step 3, driven by the provider) ---
@@ -139,7 +130,6 @@ class SmallPageAllocator final : public GroupCacheOps {
   [[nodiscard]] int group_index() const { return group_index_; }
   [[nodiscard]] int pages_per_large() const { return pages_per_large_; }
   [[nodiscard]] int64_t page_bytes() const { return spec_.page_bytes; }
-  [[nodiscard]] int shards() const { return claims_ != nullptr ? claims_->shards() : 1; }
 
   [[nodiscard]] PageState state(SmallPageId page) const;
   [[nodiscard]] RequestId assoc(SmallPageId page) const;
@@ -218,11 +208,9 @@ class SmallPageAllocator final : public GroupCacheOps {
   [[nodiscard]] LargeEntry& Entry(LargePageId large);
   [[nodiscard]] const LargeEntry& Entry(LargePageId large) const;
 
-  // Pops a validated empty page associated with `request`, or any empty page. In sharded
-  // mode PopAnyFree scans the claim index (the request id doubles as the shard hint) and
-  // PopRequestFree additionally claims the popped page's bit.
+  // Pops a validated empty page associated with `request`, or any empty page.
   [[nodiscard]] std::optional<SmallPageId> PopRequestFree(RequestId request);
-  [[nodiscard]] std::optional<SmallPageId> PopAnyFree(RequestId request);
+  [[nodiscard]] std::optional<SmallPageId> PopAnyFree();
   [[nodiscard]] bool IsValidEmpty(const FreeRef& ref) const;
   // Drops stale refs once a list outgrows the live empty-page population; relative order of
   // valid refs is preserved, so the pop sequence — and allocation placement — is unchanged.
@@ -295,8 +283,6 @@ class SmallPageAllocator final : public GroupCacheOps {
   RequestId refs_cache_key_ = kNoRequest;
   std::vector<FreeRef>* refs_cache_ = nullptr;
   std::vector<FreeRef> empty_any_;
-  // Sharded mode only (shards > 1); nullptr means the legacy empty_any_ list is in charge.
-  std::unique_ptr<ShardedClaimIndex> claims_;
   Evictor evictor_;
   BlockHashTable<SmallPageId> cache_index_;
 

@@ -81,7 +81,7 @@ struct GovernorConfig {
   int64_t fallback_pool_bytes = 0;
 };
 
-class MemoryGovernor final : public EngineStepHook, public SpecStepHook {
+class MemoryGovernor final : public StepHook<Engine>, public StepHook<SpecDecodeEngine> {
  public:
   explicit MemoryGovernor(GovernorConfig config = {});
 

@@ -12,7 +12,7 @@
 // Expiry-order contract: the heap yields deadline order, but the engines' legacy cancel
 // order is queue order (waiting first, then running). Callers that pop more than one expired
 // entry for the same step must re-collect the expired set by scanning the queues — see
-// Engine::ExpireDeadlines. Ties on deadline are therefore left unordered here.
+// EngineCore::ExpireDeadlines. Ties on deadline are therefore left unordered here.
 
 #ifndef JENGA_SRC_ENGINE_DEADLINE_HEAP_H_
 #define JENGA_SRC_ENGINE_DEADLINE_HEAP_H_

@@ -122,7 +122,7 @@ KvManager::KvManager(KvSpec alloc_spec, KvSpec accounting_spec, int64_t pool_byt
     : spec_(std::move(alloc_spec)),
       accounting_spec_(std::move(accounting_spec)),
       options_(options),
-      allocator_(spec_, pool_bytes, /*large_page_bytes_override=*/0, options.alloc_shards) {
+      allocator_(spec_, pool_bytes) {
   JENGA_CHECK_LE(spec_.groups.size(), kMaxGroups);
   for (size_t g = 0; g < spec_.groups.size(); ++g) {
     const KvGroupSpec& group = spec_.groups[g];

@@ -70,9 +70,6 @@ class KvManager {
     // immutable, so the results are too. Off = rebuild from scratch each time (the reference
     // behavior the memoized path must match bit for bit).
     bool memoize_admission = true;
-    // Empty-page index shards per group allocator (JengaAllocator shards). 1 = the
-    // deterministic legacy free lists (the golden oracle); >1 = lock-free claim bitmaps.
-    int alloc_shards = 1;
   };
 
   // `alloc_spec` drives allocation; `accounting_spec` is the true per-group architecture,

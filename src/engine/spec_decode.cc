@@ -1,10 +1,7 @@
 #include "src/engine/spec_decode.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
 #include <optional>
-#include <unordered_set>
 
 #include "src/baseline/smartspec.h"
 #include "src/common/check.h"
@@ -25,27 +22,15 @@ const char* SpecStrategyName(SpecStrategy strategy) {
 
 namespace {
 
-int32_t PseudoToken(RequestId id, int64_t position) {
-  uint64_t x = static_cast<uint64_t>(id) * 0xD1B54A32D192ED03ull + static_cast<uint64_t>(position);
-  x ^= x >> 31;
-  x *= 0x9E3779B97F4A7C15ull;
-  x ^= x >> 29;
-  return static_cast<int32_t>(50000 + (x % 1000000));
-}
-
 // Prefill target: on (re-)admission every token before the generation frontier must have its
 // KV recomputed, including previously generated tokens (preempt-by-recompute semantics).
 int64_t PrefillTarget(const Request& r) { return r.prompt_len() + r.num_generated; }
 
-bool DeadlineHeapAuditEnabled() {
-  static const bool enabled = std::getenv("JENGA_CHECK_DEADLINES") != nullptr;
-  return enabled;
-}
-
 }  // namespace
 
 SpecDecodeEngine::SpecDecodeEngine(SpecDecodeConfig config)
-    : config_(std::move(config)),
+    : EngineCore(config.shed_after_blocked_steps, config.shed_occupancy_watermark),
+      config_(std::move(config)),
       target_gpu_(config_.gpu, config_.target),
       draft_gpu_(config_.gpu, config_.draft),
       rng_(config_.seed) {
@@ -113,255 +98,17 @@ SpecDecodeEngine::SpecDecodeEngine(SpecDecodeConfig config)
     }
   }
 
-  if (config_.offload.enabled) {
-    SwapCostParams cost;
-    // Recompute runs both models over the restored prefix.
-    cost.flops_per_token = 2.0 * (config_.target.params_b + config_.draft.params_b) * 1e9;
-    cost.gpu_flops = config_.gpu.flops;
-    cost.gpu_mem_bandwidth = config_.gpu.mem_bandwidth;
-    cost.chunk_tokens = max_batched_tokens_;
-    swap_ = std::make_unique<SwapManager>(config_.offload, cost);
-    for (size_t m = 0; m < managers_.size(); ++m) {
-      managers_[m]->AttachOffload(swap_.get(), static_cast<int>(m));
-    }
-  }
-
-  if (config_.fault.enabled()) {
-    fault_ = std::make_unique<FaultInjector>(config_.fault);
+  SwapCostParams cost;
+  // Recompute runs both models over the restored prefix.
+  cost.flops_per_token = 2.0 * (config_.target.params_b + config_.draft.params_b) * 1e9;
+  cost.gpu_flops = config_.gpu.flops;
+  cost.gpu_mem_bandwidth = config_.gpu.mem_bandwidth;
+  cost.chunk_tokens = max_batched_tokens_;
+  if (FaultInjector* fault = AttachTiers(config_.offload, cost, config_.fault)) {
     // One consult per macro step through the target model's sim; a fired fault voids the
     // whole draft+verify pass.
-    target_gpu_.set_fault_injector(fault_.get());
-    if (swap_ != nullptr) {
-      swap_->SetFaultInjector(fault_.get());
-    }
+    target_gpu_.set_fault_injector(fault);
   }
-}
-
-void SpecDecodeEngine::Submit(Request request) {
-  const RequestId id = request.id;
-  JENGA_CHECK(!requests_.contains(id));
-  if (request.deadline >= 0.0) {
-    has_deadlines_ = true;
-    deadlines_.Push(request.deadline, id);
-  }
-  requests_.emplace(id, std::move(request));
-  waiting_.PushBack(id);
-}
-
-Request& SpecDecodeEngine::Get(RequestId id) {
-  const auto it = requests_.find(id);
-  JENGA_CHECK(it != requests_.end());
-  return it->second;
-}
-
-const Request& SpecDecodeEngine::request(RequestId id) const {
-  const auto it = requests_.find(id);
-  JENGA_CHECK(it != requests_.end());
-  return it->second;
-}
-
-bool SpecDecodeEngine::AllocateAll(Request& r, int64_t tokens) {
-  for (size_t m = 0; m < managers_.size(); ++m) {
-    if (!managers_[m]->AllocateForTokens(r, tokens, tick_)) {
-      // Pages taken by earlier managers this call stay with the request; the caller resolves
-      // failure by preempting (which releases everything in all managers).
-      return false;
-    }
-  }
-  return true;
-}
-
-void SpecDecodeEngine::ReleaseAll(Request& r, bool finished) {
-  for (auto& manager : managers_) {
-    manager->Release(r, tick_, finished);
-  }
-}
-
-void SpecDecodeEngine::StepComputedAll(Request& r) {
-  for (auto& manager : managers_) {
-    manager->OnStepComputed(r, tick_);
-  }
-}
-
-void SpecDecodeEngine::AdmitAll(Request& r) {
-  for (auto& manager : managers_) {
-    manager->OnAdmit(r, tick_);
-  }
-}
-
-void SpecDecodeEngine::Preempt(RequestId id) {
-  // Attributed to kEvictPreempt as a whole (trim/swap decision/release), same contract as
-  // Engine::Preempt.
-  StepProfiler::Scope prof_scope(prof_, StepPhase::kEvictPreempt);
-  Request& r = Get(id);
-  if (swap_ != nullptr) {
-    SwapFootprint fp;
-    fp.tokens = r.num_computed_tokens;
-    for (auto& manager : managers_) {
-      const KvSwapFootprint kfp = manager->GetSwapFootprint(r);
-      fp.swappable_bytes += kfp.swappable_bytes;
-      fp.resident_bytes += kfp.resident_bytes;
-      fp.drop_recompute_bytes += kfp.drop_recompute_bytes;
-      fp.fingerprints.push_back(kfp.fingerprint);
-    }
-    // Injected transfer/host faults surface as a non-OK TryRecordSwapOut after retries; the
-    // fallback is the same recompute path a cost-crossover loss takes.
-    if (swap_->ChoosePreemptMode(fp) == PreemptMode::kSwap &&
-        swap_->TryRecordSwapOut(id, fp).ok()) {
-      r.swapped_out = true;
-      r.swapped_out_tokens = r.num_computed_tokens;
-      metrics_.swap_out_events += 1;
-    } else {
-      metrics_.recomputed_tokens += r.num_computed_tokens;
-    }
-  } else {
-    metrics_.recomputed_tokens += r.num_computed_tokens;
-  }
-  ReleaseAll(r);
-  r.state = RequestState::kPreempted;
-  r.preemptions += 1;
-  r.num_computed_tokens = 0;
-  running_.Erase(id);
-  waiting_.PushFront(id);
-}
-
-void SpecDecodeEngine::FinishRequest(Request& r, bool failed) {
-  // Retire allocator affinity state and any parked swap set (both idempotent).
-  for (auto& manager : managers_) {
-    manager->OnRequestRetired(r.id);
-  }
-  if (swap_ != nullptr) {
-    swap_->DropSwapSet(r.id);
-  }
-  r.state = RequestState::kFinished;
-  r.finish_time = now_;
-  RequestRecord record;
-  record.id = r.id;
-  record.prompt_len = r.prompt_len();
-  record.output_len = r.num_generated;
-  record.preemptions = r.preemptions;
-  record.arrival_time = r.arrival_time;
-  record.first_scheduled_time = r.first_scheduled_time;
-  record.first_token_time = r.first_token_time;
-  record.finish_time = now_;
-  record.failed = failed;
-  record.cancelled = r.cancelled;
-  metrics_.RecordFinished(record);
-}
-
-bool SpecDecodeEngine::CancelRequest(RequestId id) {
-  const auto it = requests_.find(id);
-  if (it == requests_.end()) {
-    return false;
-  }
-  Request& r = it->second;
-  if (r.state == RequestState::kFinished) {
-    return false;
-  }
-  if (r.state == RequestState::kRunning) {
-    ReleaseAll(r, /*finished=*/true);
-    running_.Erase(id);
-  } else {
-    // Waiting or preempted (possibly swapped out): no manager holds pages for it — every
-    // preemption path Releases before re-queueing. FinishRequest below reclaims the host
-    // swap set and affinity state.
-    waiting_.Erase(id);
-    r.swapped_out = false;
-    r.swapped_out_tokens = 0;
-  }
-  r.cancelled = true;
-  metrics_.cancelled_requests += 1;
-  FinishRequest(r, /*failed=*/true);
-  return true;
-}
-
-void SpecDecodeEngine::ExpireDeadlines() {
-  // Heap-first: O(1) when the earliest deadline is still in the future, O(log n) per expiry;
-  // stale entries for requests that finished before their deadline are discarded lazily.
-  // Mirrors Engine::ExpireDeadlines — see deadline_heap.h for the expiry-order contract.
-  expired_buf_.clear();
-  while (deadlines_.HasExpired(now_)) {
-    const RequestId id = deadlines_.PopTop().id;
-    const auto it = requests_.find(id);
-    if (it != requests_.end() && it->second.state != RequestState::kFinished) {
-      expired_buf_.push_back(id);
-    }
-  }
-  if (expired_buf_.empty()) {
-    return;
-  }
-  if (expired_buf_.size() > 1) {
-    // Multi-expiry step: cancel order must be queue order (waiting first, then running), so
-    // re-collect the same set the way the pre-heap implementation did.
-    expired_buf_.clear();
-    for (RequestId id = waiting_.front(); id != kNoRequest; id = waiting_.Next(id)) {
-      const Request& r = Get(id);
-      if (r.deadline >= 0.0 && r.deadline <= now_) {
-        expired_buf_.push_back(id);
-      }
-    }
-    for (RequestId id = running_.front(); id != kNoRequest; id = running_.Next(id)) {
-      const Request& r = Get(id);
-      if (r.deadline >= 0.0 && r.deadline <= now_) {
-        expired_buf_.push_back(id);
-      }
-    }
-  }
-  if (DeadlineHeapAuditEnabled()) [[unlikely]] {
-    CheckDeadlineHeapAgainstScan();
-  }
-  for (const RequestId id : expired_buf_) {
-    metrics_.deadline_expirations += 1;
-    JENGA_CHECK(CancelRequest(id));
-  }
-}
-
-void SpecDecodeEngine::CheckDeadlineHeapAgainstScan() {
-  std::vector<RequestId> reference;
-  for (RequestId id = waiting_.front(); id != kNoRequest; id = waiting_.Next(id)) {
-    const Request& r = Get(id);
-    if (r.deadline >= 0.0 && r.deadline <= now_) {
-      reference.push_back(id);
-    }
-  }
-  for (RequestId id = running_.front(); id != kNoRequest; id = running_.Next(id)) {
-    const Request& r = Get(id);
-    if (r.deadline >= 0.0 && r.deadline <= now_) {
-      reference.push_back(id);
-    }
-  }
-  JENGA_CHECK_EQ(reference.size(), expired_buf_.size())
-      << "deadline heap expired-set size diverges from brute-force scan at now=" << now_;
-  for (size_t i = 0; i < reference.size(); ++i) {
-    JENGA_CHECK_EQ(reference[i], expired_buf_[i])
-        << "deadline heap expiry order diverges from brute-force scan at now=" << now_;
-  }
-}
-
-void SpecDecodeEngine::MaybeShedHeadSlow() {
-  // Shed only under genuine memory pressure; with several managers the most constrained one
-  // governs admission, so take the max occupancy (counter-only probe, no request-table walk).
-  double occupancy = 0.0;
-  for (const auto& manager : managers_) {
-    occupancy = std::max(occupancy, manager->allocator().Occupancy());
-  }
-  if (occupancy < config_.shed_occupancy_watermark) {
-    return;
-  }
-  const RequestId head = waiting_.PopFront();
-  Request& r = Get(head);
-  r.swapped_out = false;
-  r.swapped_out_tokens = 0;
-  r.cancelled = true;
-  metrics_.shed_requests += 1;
-  metrics_.cancelled_requests += 1;
-  FinishRequest(r, /*failed=*/true);
-  head_blocked_steps_ = 0;
-}
-
-double SpecDecodeEngine::PoolOccupancyOf(int manager_index) const {
-  // O(1): probed for both pools on every non-cooldown step by the adaptive split governor.
-  return managers_[static_cast<size_t>(manager_index)]->allocator().Occupancy();
 }
 
 int64_t SpecDecodeEngine::ShiftSplit(int from, int to, int64_t bytes) {
@@ -378,14 +125,8 @@ int64_t SpecDecodeEngine::ShiftSplit(int from, int to, int64_t bytes) {
   // sites are consulted before any mutation so a fire on either means nothing changed.
   metrics_.pool_shrink_attempts += 1;
   metrics_.pool_grow_attempts += 1;
-  if (fault_ != nullptr && fault_->Fire(FaultSite::kPoolShrinkDrain)) {
-    metrics_.pool_shrink_rollbacks += 1;
-    SyncFaultMetrics();
-    return 0;
-  }
-  if (fault_ != nullptr && fault_->Fire(FaultSite::kPoolGrow)) {
-    metrics_.pool_grow_rollbacks += 1;
-    SyncFaultMetrics();
+  if (ElasticFaultFires(FaultSite::kPoolShrinkDrain, &metrics_.pool_shrink_rollbacks) ||
+      ElasticFaultFires(FaultSite::kPoolGrow, &metrics_.pool_grow_rollbacks)) {
     return 0;
   }
   const int32_t removed = src.ShrinkPool(want);
@@ -414,45 +155,26 @@ int64_t SpecDecodeEngine::ShiftSplit(int from, int to, int64_t bytes) {
   return static_cast<int64_t>(gained) * dst_page;
 }
 
-void SpecDecodeEngine::SyncFaultMetricsSlow() {
-  if (fault_ != nullptr) {
-    metrics_.faults_injected = fault_->total_fires();
-  }
-  if (swap_ != nullptr) {
-    const SwapManager::Stats& s = swap_->stats();
-    metrics_.fault_retries = s.fault_retries;
-    metrics_.fault_backoff_time = s.backoff_time;
-    metrics_.degraded_mode_transitions = s.degraded_transitions;
-  }
-}
-
 bool SpecDecodeEngine::StepOnce() {
   if (running_.empty() && waiting_.empty()) {
     return false;
   }
   StepProfiler::StepScope prof_step(prof_);
-  if (step_hook_ != nullptr) [[unlikely]] {
-    // Quiesce point: no request is mid-macro-step, so the governor may rebalance the
-    // draft/target split here.
-    StepProfiler::Scope prof_scope(prof_, StepPhase::kHookDispatch);
-    step_hook_->OnStepBoundary(*this);
-    if (running_.empty() && waiting_.empty()) {
-      return false;
-    }
+  // The hook is the quiesce point: no request is mid-macro-step, so the governor may
+  // rebalance the draft/target split here.
+  if (!BeginStep(step_hook_, *this)) {
+    return false;
   }
-  if (has_deadlines_) [[unlikely]] {
-    StepProfiler::Scope prof_scope(prof_, StepPhase::kDeadlineExpiry);
-    ExpireDeadlines();
-  }
-  if (fault_ != nullptr && swap_ != nullptr) [[unlikely]] {
-    StepProfiler::Scope prof_scope(prof_, StepPhase::kHookDispatch);
-    swap_->OnEngineStep();  // Host memory-pressure site (forced shrink / degrade).
-  }
+  // Unlike Engine, this policy never reads arrival_time: it neither fast-forwards an idle
+  // clock to the next arrival nor holds back future arrivals at admission, so a trace with
+  // Poisson arrival times is served as if every request arrived at once. Kept as is: gating
+  // here would move the recorded spec-swap outcome digests.
   ++tick_;
 
   int64_t budget = max_batched_tokens_;
   int64_t prefill_tokens = 0;
-  std::unordered_set<RequestId> prefilled_this_step;
+  std::unordered_set<RequestId>& prefilled_this_step = prefilled_buf_;
+  prefilled_this_step.clear();
 
   // Phase 1: continue prefill (and post-preemption recompute) of running requests.
   {
@@ -491,80 +213,24 @@ bool SpecDecodeEngine::StepOnce() {
     const RequestId id = waiting_.front();
     Request& r = Get(id);
     if (swap_ != nullptr && r.swapped_out) {
-      const HostSwapSet* set = swap_->PeekSwapSet(id);
-      bool restored = false;
-      HostSwapSet snapshot;
-      if (set != nullptr) {
-        // Copy the set: each manager's restore may evict cache pages into the host pool,
-        // which can LRU-evict this set (and invalidate `set`) before the commit below.
-        snapshot = *set;
-        if (!swap_->BeginSwapIn(id).ok()) {
-          // Injected H2D fault that survived its retries: the set is unusable — fall through
-          // to the recompute path below instead of head-of-line blocking.
-          set = nullptr;
-        }
+      const SwapAdmit outcome = TryAdmitFromSwap(r, /*nothing_else_runnable=*/running_.empty());
+      if (outcome == SwapAdmit::kBlocked) {
+        head_blocked = true;
+        break;  // Head-of-line blocking; retry once decodes free memory.
       }
-      if (set != nullptr) {
-        StepProfiler::Scope prof_alloc(prof_, StepPhase::kAllocate);
-        const int64_t tokens = snapshot.tokens;
-        JENGA_CHECK_EQ(snapshot.fingerprints.size(), managers_.size());
-        bool can = true;
-        for (auto& manager : managers_) {
-          if (!manager->CanAllocate(r, tokens)) {
-            can = false;
-            break;
-          }
-        }
-        if (can) {
-          restored = true;
-          for (size_t m = 0; m < managers_.size(); ++m) {
-            if (!managers_[m]->RestoreFromSwap(r, tokens, snapshot.fingerprints[m], tick_)) {
-              for (size_t k = 0; k < m; ++k) {
-                managers_[k]->Release(r, tick_);
-              }
-              r.num_computed_tokens = 0;
-              restored = false;
-              break;
-            }
-          }
-        }
-        if (!restored && !running_.empty()) {
-          head_blocked = true;
-          break;  // Head-of-line blocking; retry once decodes free memory.
-        }
-      }
-      if (restored) {
-        swap_->CommitSwapIn(id, snapshot);
-        metrics_.swap_in_events += 1;
-        r.swapped_out = false;
-        r.swapped_out_tokens = 0;
+      if (outcome == SwapAdmit::kAdmitted) {
         waiting_.Erase(id);
-        r.state = RequestState::kRunning;
-        if (r.first_scheduled_time < 0.0) {
-          r.first_scheduled_time = now_;
-        }
-        running_.PushBack(id);
         // The restore transfer is still in flight this step; decode resumes next step.
         prefilled_this_step.insert(id);
         continue;
       }
-      // Set evicted from host memory, or restoring would deadlock: recompute from scratch.
-      swap_->DropSwapSet(id);
-      r.swapped_out = false;
-      metrics_.swap_fallback_events += 1;
-      metrics_.recomputed_tokens += r.swapped_out_tokens;
-      r.swapped_out_tokens = 0;
+      // kFallthrough: recompute from scratch via the normal path below.
     }
     const int64_t n = std::min<int64_t>(PrefillTarget(r), budget);
-    bool fits = true;
+    bool fits;
     {
       StepProfiler::Scope prof_alloc(prof_, StepPhase::kAllocate);
-      for (auto& manager : managers_) {
-        if (!manager->CanAllocate(r, n)) {
-          fits = false;
-          break;
-        }
-      }
+      fits = CanAllocateAll(r, n);
     }
     if (!fits) {
       if (running_.empty()) {
@@ -597,37 +263,24 @@ bool SpecDecodeEngine::StepOnce() {
       head_blocked = true;
       break;
     }
-    r.state = RequestState::kRunning;
-    if (r.first_scheduled_time < 0.0) {
-      r.first_scheduled_time = now_;
-    }
+    StartRunning(r);
     r.num_computed_tokens += n;
     {
       StepProfiler::Scope prof_commit(prof_, StepPhase::kCommit);
       StepComputedAll(r);
     }
-    running_.PushBack(id);
     budget -= n;
     prefill_tokens += n;
     prefilled_this_step.insert(id);
   }
   prof_admissions.reset();
 
-  if (head_blocked) {
-    head_blocked_steps_ += 1;
-    StepProfiler::Scope prof_shed(prof_, StepPhase::kShedGate);
-    MaybeShedHead();
-  } else {
-    head_blocked_steps_ = 0;
-  }
+  UpdateShedGate(head_blocked);
 
   // Phase 3: decode macro step — draft proposes, target verifies, accepted tokens commit.
   // Generated token ids are appended before allocation so block tables can cover them.
-  struct Emit {
-    RequestId id;
-    int64_t tokens;
-  };
-  std::vector<Emit> decode_emits;
+  std::vector<Emit>& decode_emits = emits_buf_;
+  decode_emits.clear();
   int64_t decode_kv_read = 0;
   std::optional<StepProfiler::Scope> prof_decode;
   prof_decode.emplace(prof_, StepPhase::kSchedule);
@@ -673,9 +326,7 @@ bool SpecDecodeEngine::StepOnce() {
     }
     {
       StepProfiler::Scope prof_gpu(prof_, StepPhase::kGpuSim);
-      for (auto& manager : managers_) {
-        decode_kv_read += manager->DecodeKvReadBytes(r);
-      }
+      decode_kv_read += DecodeKvReadBytesAll(r);
     }
     decode_emits.push_back({id, emit});
     id = running_.Next(id);
@@ -712,12 +363,7 @@ bool SpecDecodeEngine::StepOnce() {
     }
     step_time += target_gpu_.StepTime(batch * (config_.propose_len + 1), per_pass_read);
   }
-  if (swap_ != nullptr) {
-    const double stall = swap_->ConsumeStall(step_time);
-    metrics_.swap_stall_time += stall;
-    step_time += stall;
-  }
-  now_ += step_time;
+  AdvanceClock(step_time);
 
   // A fired GPU step fault voids the whole draft+verify pass: the Phase 5 commit is skipped,
   // and the appended-but-uncommitted decode tokens recover through the Phase 1 recompute path
@@ -768,69 +414,9 @@ bool SpecDecodeEngine::StepOnce() {
   return true;
 }
 
-void SpecDecodeEngine::DumpStateForDebug(std::ostream& os) const {
-  os << "=== spec-decode engine state dump ===\n";
-  os << "strategy=" << SpecStrategyName(config_.strategy) << " now=" << now_
-     << " tick=" << tick_ << " running=" << running_.size() << " waiting=" << waiting_.size()
-     << " finished=" << metrics_.finished().size() << "\n";
-  for (size_t m = 0; m < managers_.size(); ++m) {
-    const KvManager::MemoryStats mem = managers_[m]->GetMemoryStats();
-    os << "pool[" << m << "]: bytes=" << mem.pool_bytes << " used=" << mem.used_bytes
-       << " needed=" << mem.needed_bytes << " cached=" << mem.cached_bytes
-       << " unallocated=" << mem.unallocated_bytes << "\n";
-  }
-  if (swap_ != nullptr) {
-    const SwapManager::Stats& s = swap_->stats();
-    os << "offload: degraded=" << (swap_->degraded() ? 1 : 0)
-       << " host_used=" << swap_->host().used_bytes()
-       << " host_cap=" << swap_->host().capacity_bytes() << " sets=" << swap_->host().num_sets()
-       << " pages=" << swap_->host().num_pages() << " swap_out=" << s.swap_out_events
-       << " swap_in=" << s.swap_in_events << " retries=" << s.fault_retries
-       << " backoff=" << s.backoff_time << " shrinks=" << s.host_shrinks << "\n";
-  }
-  if (fault_ != nullptr) {
-    os << "faults:";
-    for (int i = 0; i < kNumFaultSites; ++i) {
-      const FaultInjector::SiteCounters& c = fault_->counters(static_cast<FaultSite>(i));
-      os << " " << FaultSiteName(static_cast<FaultSite>(i)) << "=" << c.fires << "/"
-         << c.consults;
-    }
-    os << "\n";
-  }
-  os << "shed: head_blocked_steps=" << head_blocked_steps_
-     << " shed_requests=" << metrics_.shed_requests << "\n";
-  std::vector<RequestId> ids;
-  ids.reserve(requests_.size());
-  for (const auto& [id, r] : requests_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const RequestId id : ids) {
-    const Request& r = requests_.at(id);
-    const char* state = r.state == RequestState::kWaiting     ? "waiting"
-                        : r.state == RequestState::kRunning   ? "running"
-                        : r.state == RequestState::kPreempted ? "preempted"
-                                                              : "finished";
-    os << "  req " << id << ": state=" << state << " prompt=" << r.prompt_len()
-       << " output=" << r.output_len << " computed=" << r.num_computed_tokens
-       << " generated=" << r.num_generated << " preemptions=" << r.preemptions
-       << " swapped_out=" << (r.swapped_out ? 1 : 0) << " cancelled=" << (r.cancelled ? 1 : 0)
-       << " arrival=" << r.arrival_time << " deadline=" << r.deadline << "\n";
-  }
-  os << "=== end spec-decode engine state dump ===\n";
-}
-
-void SpecDecodeEngine::RunToCompletion(int64_t max_steps) {
-  int64_t steps = 0;
-  while (StepOnce()) {
-    ++steps;
-    if (steps >= max_steps) {
-      // Dump everything a postmortem needs before aborting: fuzz/chaos non-convergence must
-      // be debuggable from the log alone.
-      DumpStateForDebug(std::cerr);
-      JENGA_CHECK_LT(steps, max_steps) << "spec-decode engine did not converge";
-    }
-  }
+void SpecDecodeEngine::DumpPolicyState(std::ostream& os) const {
+  os << "spec: strategy=" << SpecStrategyName(config_.strategy)
+     << " propose_len=" << config_.propose_len << "\n";
 }
 
 }  // namespace jenga

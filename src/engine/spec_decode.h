@@ -13,20 +13,15 @@
 #define JENGA_SRC_ENGINE_SPEC_DECODE_H_
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/engine/deadline_heap.h"
+#include "src/engine/engine_core.h"
 #include "src/engine/gpu.h"
 #include "src/fault/fault_injector.h"
-#include "src/engine/kv_manager.h"
-#include "src/engine/request.h"
-#include "src/engine/request_queue.h"
-#include "src/metrics/metrics.h"
-#include "src/metrics/step_profiler.h"
+#include "src/model/model_config.h"
 #include "src/offload/swap_manager.h"
 
 namespace jenga {
@@ -61,57 +56,21 @@ struct SpecDecodeConfig {
   double manual_draft_fraction = -1.0;
 };
 
-class SpecDecodeEngine;
-
-// Step-boundary hook: the elastic governor's attach point for the spec-decode engine (the
-// adaptive draft/target split policy). Same contract as EngineStepHook: called at the top of
-// every macro step with work pending; detached (nullptr) keeps behavior byte-identical.
-class SpecStepHook {
- public:
-  virtual ~SpecStepHook() = default;
-  virtual void OnStepBoundary(SpecDecodeEngine& engine) = 0;
-};
-
-class SpecDecodeEngine {
+// Draft+verify macro-step policy over one merged manager or SmartSpec's [target, draft]
+// pair (the request lifecycle is EngineCore's).
+class SpecDecodeEngine final : public EngineCore {
  public:
   explicit SpecDecodeEngine(SpecDecodeConfig config);
 
-  void Submit(Request request);
-  bool StepOnce();
-  void RunToCompletion(int64_t max_steps = 1000000);
+  bool StepOnce() override;
 
-  // Aborts a request in any state with full resource reclamation across all managers and the
-  // host tier; same contract as Engine::CancelRequest.
-  bool CancelRequest(RequestId id);
-
-  // Non-convergence / test-failure diagnostic dump.
-  void DumpStateForDebug(std::ostream& os) const;
-
-  [[nodiscard]] double now() const { return now_; }
-  [[nodiscard]] const EngineMetrics& metrics() const { return metrics_; }
-  [[nodiscard]] const Request& request(RequestId id) const;
-  [[nodiscard]] int num_running() const { return static_cast<int>(running_.size()); }
-  [[nodiscard]] int num_waiting() const { return static_cast<int>(waiting_.size()); }
-  [[nodiscard]] int num_managers() const { return static_cast<int>(managers_.size()); }
-  [[nodiscard]] const KvManager& manager(int i) const { return *managers_[static_cast<size_t>(i)]; }
-  // Mutable access for the audit layer (tests only).
-  [[nodiscard]] KvManager& manager_mutable(int i) { return *managers_[static_cast<size_t>(i)]; }
-  // nullptr when the offload tier is disabled.
-  [[nodiscard]] const SwapManager* swap() const { return swap_.get(); }
-  [[nodiscard]] SwapManager* swap_mutable() { return swap_.get(); }
   [[nodiscard]] const SpecDecodeConfig& config() const { return config_; }
 
   // --- Elastic split operations (MemoryGovernor entry points; see src/elastic) ---
 
-  void set_step_hook(SpecStepHook* hook) { step_hook_ = hook; }
-  // Per-phase step profiler; same contract as Engine::set_step_profiler (wall clock only,
-  // detached = one null test per scope, attached = byte-identical scheduling).
-  void set_step_profiler(StepProfiler* profiler) { prof_ = profiler; }
-  [[nodiscard]] EngineMetrics& metrics_mutable() { return metrics_; }
-  // nullptr when no faults are configured.
-  [[nodiscard]] FaultInjector* fault_injector() { return fault_.get(); }
-  // Occupancy of one manager's pool in [0, 1] (0 on an empty pool).
-  [[nodiscard]] double PoolOccupancyOf(int manager_index) const;
+  // Installs/removes the step-boundary hook: the adaptive draft/target split policy
+  // (nullptr detaches; detached = byte-identical).
+  void set_step_hook(StepHook<SpecDecodeEngine>* hook) { step_hook_ = hook; }
   // Moves roughly `bytes` of pool capacity from manager `from` to manager `to` by draining
   // trailing large pages from one homogeneous pool and appending them to the other (the
   // audited adaptive draft/target rebalance, kVllmManual only). Both fault sites
@@ -123,61 +82,22 @@ class SpecDecodeEngine {
   int64_t ShiftSplit(int from, int to, int64_t bytes);
 
  private:
-  [[nodiscard]] Request& Get(RequestId id);
-  [[nodiscard]] bool AllocateAll(Request& r, int64_t tokens);
-  void ReleaseAll(Request& r, bool finished = false);
-  void StepComputedAll(Request& r);
-  void AdmitAll(Request& r);
-  void Preempt(RequestId id);
-  void FinishRequest(Request& r, bool failed);
-  void ExpireDeadlines();
-  // JENGA_CHECK_DEADLINES fuzz arm: asserts the heap-derived expired set matches a
-  // brute-force queue scan (same contract as Engine::CheckDeadlineHeapAgainstScan).
-  void CheckDeadlineHeapAgainstScan();
-  // Inlined disabled path — see Engine::MaybeShedHead.
-  void MaybeShedHead() {
-    if (config_.shed_after_blocked_steps <= 0 ||
-        head_blocked_steps_ < config_.shed_after_blocked_steps || waiting_.empty()) {
-      return;
-    }
-    MaybeShedHeadSlow();
-  }
-  void MaybeShedHeadSlow();
-  // Inlined null path — see Engine::SyncFaultMetrics.
-  void SyncFaultMetrics() {
-    if (fault_ != nullptr || swap_ != nullptr) [[unlikely]] {
-      SyncFaultMetricsSlow();
-    }
-  }
-  void SyncFaultMetricsSlow();
+  struct Emit {
+    RequestId id;
+    int64_t tokens;
+  };
+
+  void DumpPolicyState(std::ostream& os) const override;
 
   SpecDecodeConfig config_;
   GpuSim target_gpu_;
   GpuSim draft_gpu_;
-  // One merged manager (kJenga / kVllmMax) or [target, draft] managers (kVllmManual).
-  std::vector<std::unique_ptr<KvManager>> managers_;
-  std::unique_ptr<SwapManager> swap_;
-  std::unique_ptr<FaultInjector> fault_;  // nullptr when no faults are configured.
-  SpecStepHook* step_hook_ = nullptr;     // Not owned; nullptr = no governor attached.
-  StepProfiler* prof_ = nullptr;          // Not owned; nullptr = no profiler attached.
-  int max_num_seqs_ = 0;
-  int max_batched_tokens_ = 0;
-  int head_blocked_steps_ = 0;
-  bool has_deadlines_ = false;
-
+  StepHook<SpecDecodeEngine>* step_hook_ = nullptr;  // Not owned; nullptr = no governor.
   Rng rng_;
-  std::unordered_map<RequestId, Request> requests_;
-  // Indexed FIFOs (see request_queue.h): iteration order matches the deque/vector they
-  // replaced, with O(1) mid-queue removal on preempt/cancel/finish.
-  RequestQueue waiting_;
-  RequestQueue running_;
-  // Lazy min-heap over submitted deadlines (see deadline_heap.h); entries for requests that
-  // finished early are discarded when they surface. Keeps ExpireDeadlines O(1) per step.
-  DeadlineHeap deadlines_;
-  std::vector<RequestId> expired_buf_;  // Scratch for ExpireDeadlines (reused across steps).
-  double now_ = 0.0;
-  Tick tick_ = 0;
-  EngineMetrics metrics_;
+  // Per-step scratch (cleared each step; capacity reused): requests that prefilled or
+  // restored this step (they do not decode until the next one), and the decode emits.
+  std::unordered_set<RequestId> prefilled_buf_;
+  std::vector<Emit> emits_buf_;
 };
 
 }  // namespace jenga

@@ -30,7 +30,7 @@ enum class StepPhase : int {
   kSchedule,          // Phase 1/2 scheduling bookkeeping (exclusive of nested phases).
   kHitScan,           // KvManager::OnAdmit — the §5.2 prefix-cache hit scan.
   kAllocate,          // CanAllocate + AllocateForTokens + RestoreFromSwap.
-  kShedGate,          // MaybeShedHead watermark check + shed.
+  kShedGate,          // UpdateShedGate watermark check + shed.
   kGpuSim,            // Cost-model evaluation: kv-read accounting + StepTime + swap stall.
   kEvictPreempt,      // Preempt(): trim, swap decision, release-to-cache, requeue.
   kCommit,            // Phase 4: progress commit, token append, finish/release.

@@ -69,6 +69,32 @@ TEST(AllocatorAuditor, GreenAcrossAllocateCacheEvictCycle) {
   EXPECT_GT(auditor.events_observed(), 0);
 }
 
+// A revived page released uncached leaves a stale, newer reclaim entry behind when its large
+// page becomes a candidate again with an older timestamp. AcquireLargePage pops the older
+// entry first, so the page is still evicted in LRU order, and the audit must agree.
+TEST(AllocatorAuditor, GreenAfterRevivedPageReleasedUncached) {
+  JengaAllocator alloc(TwoGroupSpec(), /*pool_bytes=*/768);  // One large page.
+  AllocatorAuditor auditor;
+  auditor.AttachAllocator(&alloc);
+  SmallPageAllocator& image = alloc.group(0);
+  const SmallPageId older = *image.Allocate(1, /*now=*/1);
+  const SmallPageId newer = *image.Allocate(1, /*now=*/2);
+  image.SetContentHash(older, 0x10);
+  image.SetContentHash(newer, 0x20);
+  image.Release(older, /*keep_cached=*/true);
+  image.Release(newer, /*keep_cached=*/true);  // Whole-evictable: reclaim entry at 2.
+  ExpectGreen(auditor);
+  image.AddRef(newer);  // Revived: the large page holds a used slot again.
+  ExpectGreen(auditor);
+  image.Release(newer, /*keep_cached=*/false);  // A candidate again, now at timestamp 1.
+  EXPECT_EQ(image.state(newer), PageState::kEmpty);
+  ExpectGreen(auditor);
+  // The text group's allocation reclaims the large page through the older entry.
+  ASSERT_TRUE(alloc.group(1).Allocate(2, /*now=*/3).has_value());
+  EXPECT_FALSE(image.LookupCached(0x10).has_value());
+  ExpectGreen(auditor);
+}
+
 TEST(AllocatorAuditor, AttachSeedsFromMidLifeState) {
   JengaAllocator alloc(TwoGroupSpec(), 768 * 4);
   // Mutate before attaching: the auditor must seed its shadow from live state, not replay.

@@ -1,8 +1,7 @@
 // Seeded multi-thread stress harness: N producer threads submit, cancel, and stream
 // completions against a live engine under memory pressure (small pool → preemptions), while
-// a step observer runs the AllocatorAuditor against every reachable allocator state. Runs
-// with both the legacy shards=1 free lists and the sharded claim bitmaps, and under the tsan
-// preset via scripts/check.sh. Seed overridable with JENGA_STRESS_SEED.
+// a step observer runs the AllocatorAuditor against every reachable allocator state. Also
+// runs under the tsan preset via scripts/check.sh. Seed overridable with JENGA_STRESS_SEED.
 
 #include <gtest/gtest.h>
 
@@ -25,20 +24,19 @@ uint64_t StressSeed() {
   return env != nullptr ? static_cast<uint64_t>(std::strtoull(env, nullptr, 10)) : 42;
 }
 
-EngineConfig PressureConfig(int alloc_shards) {
+EngineConfig PressureConfig() {
   const ModelConfig model = TinyFullModel();
   const KvSpec spec = MakeJengaSpec(model, 16, false);
   EngineConfig config;
   config.model = model;
   config.gpu = TestGpu();
   config.jenga = true;
-  config.alloc_shards = alloc_shards;
   // Small pool: the producers' combined working set forces preemption/recompute churn.
   config.pool_bytes_override = spec.LcmPageBytes() * 24;
   return config;
 }
 
-void RunStress(int producers, int per_producer, int alloc_shards) {
+void RunStress(int producers, int per_producer) {
   AllocatorAuditor auditor;
   std::atomic<int64_t> audits{0};
   ServingFrontend::Options options;
@@ -56,7 +54,7 @@ void RunStress(int producers, int per_producer, int alloc_shards) {
     ASSERT_TRUE(violations.empty()) << violations.front();
     audits.fetch_add(1, std::memory_order_relaxed);
   };
-  ServingFrontend frontend(PressureConfig(alloc_shards), options);
+  ServingFrontend frontend(PressureConfig(), options);
   frontend.Start();
 
   const uint64_t seed = StressSeed();
@@ -119,22 +117,7 @@ void RunStress(int producers, int per_producer, int alloc_shards) {
 }
 
 TEST(FrontendStressTest, EightProducersLegacyAllocator) {
-  RunStress(/*producers=*/8, /*per_producer=*/24, /*alloc_shards=*/1);
-}
-
-TEST(FrontendStressTest, EightProducersShardedAllocator) {
-  RunStress(/*producers=*/8, /*per_producer=*/24, /*alloc_shards=*/4);
-}
-
-TEST(FrontendStressTest, TwoProducersShardedSecondSeed) {
-  const char* env = std::getenv("JENGA_STRESS_SEED");
-  if (env == nullptr) {
-    setenv("JENGA_STRESS_SEED", "1337", /*overwrite=*/0);
-  }
-  RunStress(/*producers=*/2, /*per_producer=*/16, /*alloc_shards=*/4);
-  if (env == nullptr) {
-    unsetenv("JENGA_STRESS_SEED");
-  }
+  RunStress(/*producers=*/8, /*per_producer=*/24);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include "src/engine/deadline_heap.h"
 #include "src/engine/engine.h"
+#include "src/engine/spec_decode.h"
 #include "tests/engine/test_models.h"
 
 namespace jenga {
@@ -124,8 +125,9 @@ TEST(DeadlineExpiry, FinishBeforeDeadlineNeverExpires) {
   EXPECT_EQ(engine.metrics().CompletedRequests(), 1);
 }
 
-TEST(DeadlineExpiry, MultiExpirySameStepCancelsInQueueOrder) {
-  Engine engine(RoomyConfig());
+// Expiry lives in the engine core, so the queue-order contract is checked through both step
+// policies.
+void ExpectMultiExpiryInQueueOrder(EngineCore& engine) {
   engine.Submit(MakeRequest(0, TextPrompt(48), 8, 0.0));
   for (RequestId id = 1; id <= 3; ++id) {
     Request doomed = MakeRequest(id, TextPrompt(48), 8, 0.0);
@@ -143,7 +145,27 @@ TEST(DeadlineExpiry, MultiExpirySameStepCancelsInQueueOrder) {
   EXPECT_EQ(finished[1].id, 2);
   EXPECT_EQ(finished[2].id, 3);
   EXPECT_TRUE(finished[0].cancelled);
-  engine.kv().CheckConsistency();
+  for (int m = 0; m < engine.num_managers(); ++m) {
+    engine.manager(m).CheckConsistency();
+  }
+}
+
+TEST(DeadlineExpiry, MultiExpirySameStepCancelsInQueueOrder) {
+  {
+    SCOPED_TRACE("Engine");
+    Engine engine(RoomyConfig());
+    ExpectMultiExpiryInQueueOrder(engine);
+  }
+  for (const SpecStrategy strategy : {SpecStrategy::kJenga, SpecStrategy::kVllmManual}) {
+    SCOPED_TRACE(SpecStrategyName(strategy));
+    SpecDecodeConfig config;
+    config.target = TinyFullModel();
+    config.draft = TinyDraftModel();
+    config.gpu = TestGpu();
+    config.strategy = strategy;
+    SpecDecodeEngine engine(std::move(config));
+    ExpectMultiExpiryInQueueOrder(engine);
+  }
 }
 
 // Preempt → re-admit must not need a heap update: the Submit-time entry still fires, once,

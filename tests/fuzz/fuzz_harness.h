@@ -369,24 +369,62 @@ inline std::string DescribeFuzzSchedule(const FuzzSchedule& s) {
 }
 
 // ---------------------------------------------------------------------------------------
-// Engine harness: one interface over Engine and SpecDecodeEngine.
+// Engine harness: the shared EngineCore API drives both engines; only construction, the
+// cache-hit probe and the elastic accessors are per engine.
+
+inline void ApplyFuzzOffload(const FuzzSchedule& s, OffloadConfig* offload) {
+  if (!s.offload) {
+    return;
+  }
+  offload->enabled = true;
+  offload->swap_preemption = s.swap_preemption;
+  offload->host_prefix_cache = s.host_prefix_cache;
+  offload->host_pool_bytes = s.host_pool_bytes;
+  offload->pcie.h2d_bandwidth = s.pcie_bandwidth;
+  offload->pcie.d2h_bandwidth = s.pcie_bandwidth;
+  offload->pcie.per_transfer_latency = 0.0;
+}
 
 class FuzzHarness {
  public:
   virtual ~FuzzHarness() = default;
-  virtual bool Step() = 0;
-  virtual bool Cancel(RequestId id) = 0;
-  [[nodiscard]] virtual const Request& Req(RequestId id) const = 0;
-  [[nodiscard]] virtual const EngineMetrics& Metrics() const = 0;
-  [[nodiscard]] virtual const SwapManager* Swap() const = 0;
-  virtual void AttachAudit(AllocatorAuditor* auditor) = 0;
-  virtual void Dump(std::ostream& os) const = 0;
+  bool Step() { return core_->StepOnce(); }
+  bool Cancel(RequestId id) { return core_->CancelRequest(id); }
+  [[nodiscard]] const Request& Req(RequestId id) const { return core_->request(id); }
+  [[nodiscard]] const EngineMetrics& Metrics() const { return core_->metrics(); }
+  [[nodiscard]] const SwapManager* Swap() const { return core_->swap(); }
+  void Dump(std::ostream& os) const { core_->DumpStateForDebug(os); }
+  // Attaches every manager's allocator and the host tier. After a repartition replaced the
+  // manager, calling it again attaches whatever is live.
+  void AttachAudit(AllocatorAuditor* auditor) {
+    for (int m = 0; m < core_->num_managers(); ++m) {
+      auditor->AttachAllocator(&core_->manager_mutable(m).allocator_mutable());
+    }
+    if (core_->swap_mutable() != nullptr) {
+      auditor->AttachSwapManager(core_->swap_mutable());
+    }
+  }
   // Engine only: KvManager's own running hit total (cross-layer consistency check); -1 = n/a.
   [[nodiscard]] virtual int64_t KvCacheHitTokens() const { return -1; }
   // Chaos elastic events need the concrete engine (resize/repartition/shift are not part of
   // the shared interface); nullptr when the harness wraps the other kind.
   [[nodiscard]] virtual Engine* ElasticEngine() { return nullptr; }
   [[nodiscard]] virtual SpecDecodeEngine* ElasticSpecEngine() { return nullptr; }
+
+ protected:
+  // Binds the harness to its engine and submits the schedule's requests in order.
+  void Bind(EngineCore* core, const FuzzSchedule& s) {
+    core_ = core;
+    for (size_t i = 0; i < s.requests.size(); ++i) {
+      Request request = MakeRequest(static_cast<RequestId>(i), BuildFuzzPrompt(s.requests[i]),
+                                    s.requests[i].output_len, s.requests[i].arrival);
+      request.deadline = s.requests[i].deadline;
+      core_->Submit(std::move(request));
+    }
+  }
+
+ private:
+  EngineCore* core_ = nullptr;
 };
 
 class EngineFuzzHarness final : public FuzzHarness {
@@ -401,40 +439,15 @@ class EngineFuzzHarness final : public FuzzHarness {
     config.max_num_seqs_override = s.max_num_seqs;
     config.max_batched_tokens_override = s.max_batched_tokens;
     config.memory_sample_every = 4;
-    if (s.offload) {
-      config.offload.enabled = true;
-      config.offload.swap_preemption = s.swap_preemption;
-      config.offload.host_prefix_cache = s.host_prefix_cache;
-      config.offload.host_pool_bytes = s.host_pool_bytes;
-      config.offload.pcie.h2d_bandwidth = s.pcie_bandwidth;
-      config.offload.pcie.d2h_bandwidth = s.pcie_bandwidth;
-      config.offload.pcie.per_transfer_latency = 0.0;
-    }
+    ApplyFuzzOffload(s, &config.offload);
     config.fault.plan = s.fault_plan;
     config.fault.seed = s.fault_seed;
     config.shed_after_blocked_steps = s.shed_after_blocked_steps;
     config.shed_occupancy_watermark = s.shed_occupancy_watermark;
     engine_ = std::make_unique<Engine>(std::move(config));
-    for (size_t i = 0; i < s.requests.size(); ++i) {
-      Request request = MakeRequest(static_cast<RequestId>(i), BuildFuzzPrompt(s.requests[i]),
-                                    s.requests[i].output_len, s.requests[i].arrival);
-      request.deadline = s.requests[i].deadline;
-      engine_->Submit(std::move(request));
-    }
+    Bind(engine_.get(), s);
   }
 
-  bool Step() override { return engine_->StepOnce(); }
-  bool Cancel(RequestId id) override { return engine_->CancelRequest(id); }
-  const Request& Req(RequestId id) const override { return engine_->request(id); }
-  const EngineMetrics& Metrics() const override { return engine_->metrics(); }
-  const SwapManager* Swap() const override { return engine_->swap(); }
-  void AttachAudit(AllocatorAuditor* auditor) override {
-    auditor->AttachAllocator(&engine_->kv().allocator_mutable());
-    if (engine_->swap_mutable() != nullptr) {
-      auditor->AttachSwapManager(engine_->swap_mutable());
-    }
-  }
-  void Dump(std::ostream& os) const override { engine_->DumpStateForDebug(os); }
   int64_t KvCacheHitTokens() const override { return engine_->kv().total_cache_hit_tokens(); }
   Engine* ElasticEngine() override { return engine_.get(); }
 
@@ -454,42 +467,15 @@ class SpecFuzzHarness final : public FuzzHarness {
     config.pool_bytes_override = s.pool_bytes;
     config.max_num_seqs_override = s.max_num_seqs;
     config.seed = s.seed;
-    if (s.offload) {
-      config.offload.enabled = true;
-      config.offload.swap_preemption = s.swap_preemption;
-      config.offload.host_prefix_cache = s.host_prefix_cache;
-      config.offload.host_pool_bytes = s.host_pool_bytes;
-      config.offload.pcie.h2d_bandwidth = s.pcie_bandwidth;
-      config.offload.pcie.d2h_bandwidth = s.pcie_bandwidth;
-      config.offload.pcie.per_transfer_latency = 0.0;
-    }
+    ApplyFuzzOffload(s, &config.offload);
     config.fault.plan = s.fault_plan;
     config.fault.seed = s.fault_seed;
     config.shed_after_blocked_steps = s.shed_after_blocked_steps;
     config.shed_occupancy_watermark = s.shed_occupancy_watermark;
     engine_ = std::make_unique<SpecDecodeEngine>(std::move(config));
-    for (size_t i = 0; i < s.requests.size(); ++i) {
-      Request request = MakeRequest(static_cast<RequestId>(i), BuildFuzzPrompt(s.requests[i]),
-                                    s.requests[i].output_len, s.requests[i].arrival);
-      request.deadline = s.requests[i].deadline;
-      engine_->Submit(std::move(request));
-    }
+    Bind(engine_.get(), s);
   }
 
-  bool Step() override { return engine_->StepOnce(); }
-  bool Cancel(RequestId id) override { return engine_->CancelRequest(id); }
-  const Request& Req(RequestId id) const override { return engine_->request(id); }
-  const EngineMetrics& Metrics() const override { return engine_->metrics(); }
-  const SwapManager* Swap() const override { return engine_->swap(); }
-  void AttachAudit(AllocatorAuditor* auditor) override {
-    for (int m = 0; m < engine_->num_managers(); ++m) {
-      auditor->AttachAllocator(&engine_->manager_mutable(m).allocator_mutable());
-    }
-    if (engine_->swap_mutable() != nullptr) {
-      auditor->AttachSwapManager(engine_->swap_mutable());
-    }
-  }
-  void Dump(std::ostream& os) const override { engine_->DumpStateForDebug(os); }
   SpecDecodeEngine* ElasticSpecEngine() override { return engine_.get(); }
 
  private:
